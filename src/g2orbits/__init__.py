@@ -3,15 +3,15 @@
 The package constructs the octonion algebra over exact rationals, carves
 out its 14-dimensional derivation Lie algebra (compact type G2) as the
 kernel of the product-rule constraint system, fixes a Cartan subalgebra,
-extracts the 12-root system over Gaussian rationals, and classifies the
+extracts the 12-root system from exact rational kernels, and classifies the
 adjoint orbit type of any Cartan element into the four possible classes.
 """
 
 from .cayley import (
     ComplexModelElement,
+    GaussianRational,
     MULT_TABLE,
     Octonion,
-    cx_mul,
     from_complex_model,
     gamma,
     gamma1,
@@ -41,7 +41,7 @@ from .errors import (
     NotInSpanError,
     SumNonzeroError,
 )
-from .linalg import GaussianRational, Matrix, Rational, det, kernel_basis, rank, rref, solve
+from .linalg import Matrix, det, kernel_basis, rank, rref, solve
 from .orbits import (
     CONVENTION_DEFAULT,
     Census,
@@ -80,7 +80,6 @@ __all__ = [
     "NotInSpanError",
     "Octonion",
     "OrbitType",
-    "Rational",
     "Root",
     "SubalgebraSummary",
     "SumNonzeroError",
@@ -91,7 +90,6 @@ __all__ = [
     "cartan_element",
     "centralizer",
     "classify",
-    "cx_mul",
     "derivation_basis",
     "det",
     "exp_derivation_numeric",

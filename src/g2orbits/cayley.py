@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import GaussianRational, Matrix, rank
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .linalg import Matrix, _frac, rank
 
 
 # quaternion helpers on 4-tuples, convention e1*e2 = e3 (i j = k)
@@ -206,6 +202,100 @@ def is_automorphism_matrix(m: Matrix) -> bool:
     return True
 
 
+class GaussianRational:
+    """A complex number re + im*i with exact rational components."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = _frac(re)
+        self.im = _frac(im)
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        """Squared modulus re^2 + im^2."""
+        return self.re * self.re + self.im * self.im
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        # match hash(Fraction) when the value is real so mixed containers work
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re / other, self.im / other)
+        if isinstance(other, GaussianRational):
+            n = other.norm()
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return self * other.conjugate() / n
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        n = self.norm()
+        if not n:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return self.conjugate() * other / n
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re}, {self.im})"
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
 class ComplexModelElement:
     """Element a + m of the complex model: a scalar and a 3-vector over
     the Gaussian rationals (the complex line spanned by 1 and e1)."""
@@ -284,7 +374,3 @@ def from_complex_model(u: ComplexModelElement) -> Octonion:
             -u.m[2].im,
         )
     )
-
-
-def cx_mul(u: ComplexModelElement, v: ComplexModelElement) -> ComplexModelElement:
-    return u * v

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,14 +44,10 @@ from .linalg import Matrix, det, kernel_basis, rref
 from .orbits import OrbitType, classify, scan
 from .roots import CartanElement, cartan_element, root_system, weyl_reflect
 
-_CENSUS6 = None
 
-
+@lru_cache(maxsize=1)
 def _census6():
-    global _CENSUS6
-    if _CENSUS6 is None:
-        _CENSUS6 = scan(6)
-    return _CENSUS6
+    return scan(6)
 
 
 def _random_fraction(rng, num=9, den=9) -> Fraction:

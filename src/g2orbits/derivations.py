@@ -12,6 +12,7 @@ floating-point exponential linking derivations to automorphisms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -142,6 +143,28 @@ def leibniz_system() -> Matrix:
     return Matrix.from_rows(rows)
 
 
+def _combine(coeffs, rows) -> tuple:
+    """The flat vector sum_i coeffs[i] * rows[i]."""
+    out = [Fraction(0)] * 64
+    for c, row in zip(coeffs, rows):
+        if c:
+            for idx, r in enumerate(row):
+                if r:
+                    out[idx] += c * r
+    return tuple(out)
+
+
+def _read_off(vec, rows, pivots):
+    """Coordinates of vec in reduced echelon rows, or None if vec is not in
+    their span.
+
+    The coordinates are read off at the pivot positions and then verified
+    by exact reconstruction.
+    """
+    coeffs = tuple(vec[p] for p in pivots)
+    return coeffs if _combine(coeffs, rows) == tuple(vec) else None
+
+
 @dataclass(frozen=True)
 class SubalgebraSummary:
     """Structural fingerprint of a bracket-closed set of derivations."""
@@ -174,34 +197,16 @@ class G2AlgebraBasis:
         return len(self.basis)
 
     def coordinates(self, d: Derivation):
-        """Exact coordinates of d in this basis; NotInSpanError otherwise.
-
-        The basis rows are in reduced echelon form, so coordinates can be
-        read off at the pivot positions; the read-off is then verified by
-        exact reconstruction.
-        """
-        vec = d.flat()
-        coeffs = tuple(vec[p] for p in self._pivots)
-        recon = [Fraction(0)] * 64
-        for c, row in zip(coeffs, self._flat_rows):
-            if c:
-                for idx, r in enumerate(row):
-                    if r:
-                        recon[idx] += c * r
-        if tuple(recon) != tuple(vec):
+        """Exact coordinates of d in this basis; NotInSpanError otherwise."""
+        coeffs = _read_off(d.flat(), self._flat_rows, self._pivots)
+        if coeffs is None:
             raise NotInSpanError("derivation is not in the span of the basis")
         return coeffs
 
     def from_coordinates(self, coeffs) -> Derivation:
         if len(coeffs) != self.dim:
             raise ValueError("coordinate length mismatch")
-        out = [Fraction(0)] * 64
-        for c, row in zip(coeffs, self._flat_rows):
-            if c:
-                for idx, r in enumerate(row):
-                    if r:
-                        out[idx] += c * r
-        return Derivation.from_flat(out)
+        return Derivation.from_flat(_combine(coeffs, self._flat_rows))
 
     def adjoint_of_basis(self, i: int) -> Matrix:
         """Matrix of ad(D_i) read from the structure constants."""
@@ -246,18 +251,6 @@ def derivation_basis() -> G2AlgebraBasis:
         pivots.append(lead)
     basis = [Derivation.from_flat(v) for v in kern]
 
-    def coords_of(vec):
-        coeffs = tuple(vec[p] for p in pivots)
-        recon = [Fraction(0)] * 64
-        for c, row in zip(coeffs, kern):
-            if c:
-                for idx, r in enumerate(row):
-                    if r:
-                        recon[idx] += c * r
-        if tuple(recon) != tuple(vec):
-            raise InternalInvariantError("bracket left the derivation algebra")
-        return coeffs
-
     n = G2_DIM
     c = [[None] * n for _ in range(n)]
     zero_row = (Fraction(0),) * n
@@ -265,8 +258,9 @@ def derivation_basis() -> G2AlgebraBasis:
         c[i][i] = zero_row
     for i in range(n):
         for j in range(i + 1, n):
-            br = bracket(basis[i], basis[j])
-            cij = coords_of(br.flat())
+            cij = _read_off(bracket(basis[i], basis[j]).flat(), kern, pivots)
+            if cij is None:
+                raise InternalInvariantError("bracket left the derivation algebra")
             c[i][j] = cij
             c[j][i] = tuple(-x for x in cij)
     structure = tuple(tuple(c[i][j] for j in range(n)) for i in range(n))
@@ -365,21 +359,11 @@ def subalgebra_structure(s, b: G2AlgebraBasis) -> SubalgebraSummary:
         return SubalgebraSummary(0, 0, 0, True)
     red = [Derivation.from_flat(r) for r in rows]
 
-    def in_span(vec) -> bool:
-        coeffs = [vec[p] for p in pivots]
-        recon = [Fraction(0)] * 64
-        for c, row in zip(coeffs, rows):
-            if c:
-                for idx, r in enumerate(row):
-                    if r:
-                        recon[idx] += c * r
-        return tuple(recon) == tuple(vec)
-
     pair_brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             br = bracket(red[i], red[j])
-            if not in_span(br.flat()):
+            if _read_off(br.flat(), rows, pivots) is None:
                 raise NotBracketClosedError(
                     "bracket of subalgebra elements leaves the span"
                 )
@@ -412,11 +396,15 @@ def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16) -> np.ndarr
 
     Taylor degree ``terms`` (>= 12 by contract) after scaling the matrix
     below norm 1/2; the result is approximately orthogonal and
-    approximately an algebra automorphism.
+    approximately an algebra automorphism.  A non-finite t raises
+    ValueError.
     """
     if terms < 12:
         raise ValueError("series degree must be at least 12")
-    a = np.array([[float(x) for x in d.matrix.row(i)] for i in range(8)]) * float(t)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    a = np.array([[float(x) for x in d.matrix.row(i)] for i in range(8)]) * t
     nrm = float(np.abs(a).sum(axis=1).max())
     squarings = 0
     while nrm > 0.5:

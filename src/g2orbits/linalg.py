@@ -1,125 +1,38 @@
-"""Exact linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the rationals.
 
 Everything here is pure, exact and deterministic: no floating point, no
-pivot heuristics.  Elimination always picks the first row (top-down) with a
-nonzero entry in the current column, sweeping columns left to right, so
-equal inputs produce bit-for-bit equal outputs.  Kernel bases are returned
-in a canonical form (the unique reduced echelon basis of the null space,
-leading entry of every vector equal to 1).
+pivot heuristics.  There is one elimination core, a fraction-free one on
+integer rows: every row is first multiplied by the lcm of its
+denominators, which leaves the row space unchanged.  Elimination always
+picks the first row (top-down) with a nonzero entry in the current column,
+sweeping columns left to right, so equal inputs produce bit-for-bit equal
+outputs.  Kernel bases are returned in a canonical form (the unique
+reduced echelon basis of the null space, leading entry of every vector
+equal to 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
-Rational = Fraction
+Scalar = Union[int, Fraction]
 
 
-class GaussianRational:
-    """A complex number re + im*i with exact rational components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Squared modulus re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        # match hash(Fraction) when the value is real so mixed containers work
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        if isinstance(other, GaussianRational):
-            n = other.norm()
-            if not n:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return self * other.conjugate() / n
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self.conjugate() * other / n
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re}, {self.im})"
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-Scalar = Union[int, Fraction, GaussianRational]
+def _frac(x) -> Fraction:
+    """x as an exact Fraction.  Floats are rejected rather than expanded
+    into their binary value, which is almost never the number meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a rational string")
+    return Fraction(x)
 
 
 class Matrix:
-    """Immutable dense matrix with exact scalar entries, stored row-major.
-
-    One scalar kind per matrix: either rationals (Fraction/int) or
-    GaussianRational.
-    """
+    """Immutable dense matrix with exact rational entries (Fraction or
+    int), stored row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -179,7 +92,7 @@ class Matrix:
                 if m:
                     term = m * vec[j]
                     acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else self._scalar_zero())
+            out.append(acc if acc is not None else Fraction(0))
         return tuple(out)
 
     def __mul__(self, other):
@@ -188,7 +101,7 @@ class Matrix:
                 raise ValueError("inner dimension mismatch")
             n, p = self.cols, other.cols
             a, b = self.entries, other.entries
-            out = [self._scalar_zero()] * (self.rows * p)
+            out = [Fraction(0)] * (self.rows * p)
             for i in range(self.rows):
                 abase = i * n
                 obase = i * p
@@ -201,12 +114,12 @@ class Matrix:
                             if bkj:
                                 out[obase + j] = out[obase + j] + aik * bkj
             return Matrix(self.rows, p, out)
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return Matrix(self.rows, self.cols, [e * other for e in self.entries])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return Matrix(self.rows, self.cols, [other * e for e in self.entries])
         return NotImplemented
 
@@ -233,7 +146,7 @@ class Matrix:
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        t = self._scalar_zero()
+        t = Fraction(0)
         for i in range(self.rows):
             t = t + self.entries[i * self.cols + i]
         return t
@@ -253,63 +166,10 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _scalar_zero(self) -> Scalar:
-        if self.entries and isinstance(self.entries[0], GaussianRational):
-            return GaussianRational(0)
-        return Fraction(0)
-
-    def _scalar_one(self) -> Scalar:
-        if self.entries and isinstance(self.entries[0], GaussianRational):
-            return GaussianRational(1)
-        return Fraction(1)
-
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# elimination core
 # ---------------------------------------------------------------------------
-
-def _rref_generic(rows) -> Tuple[int, ...]:
-    """In-place reduced row echelon form over any exact field.
-
-    Returns the pivot columns.  Pivot rule: first row at or below the
-    current one with a nonzero entry, columns left to right.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        hit = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                hit = i
-                break
-        if hit < 0:
-            continue
-        if hit != r:
-            rows[r], rows[hit] = rows[hit], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] / pv
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                for j in range(c, ncols):
-                    pj = prow[j]
-                    if pj:
-                        row[j] = row[j] - f * pj
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(pivots)
-
 
 def _normalize_int_row(row) -> None:
     """Divide an integer row by the gcd of its entries, leading entry > 0."""
@@ -333,11 +193,13 @@ def _normalize_int_row(row) -> None:
 
 
 def _rref_int(rows) -> Tuple[int, ...]:
-    """Fraction-free elimination for all-integer rows (same pivot rule).
+    """Fraction-free reduced elimination of integer rows, in place.
 
-    Row updates are row*pivot - pivot_row*factor followed by a gcd
-    reduction, so all intermediate values stay integers.  The caller turns
-    the result into the rational RREF by dividing each row by its pivot.
+    Returns the pivot columns.  Pivot rule: first row at or below the
+    current one with a nonzero entry, columns left to right.  Row updates
+    are row*pivot - pivot_row*factor followed by a gcd reduction, so all
+    intermediate values stay integers.  The caller turns the result into
+    the rational RREF by dividing each row by its pivot.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -377,39 +239,38 @@ def _rref_int(rows) -> Tuple[int, ...]:
     return tuple(pivots)
 
 
-def _as_int_rows(rows) -> Optional[list]:
+def _as_int_rows(rows) -> list:
+    """Integer rows with the same row space: each row times the lcm of its
+    denominators.  Reads numerator/denominator directly (ints have both),
+    so no Fraction is built per entry."""
     out = []
     for row in rows:
-        irow = []
+        den = 1
         for e in row:
-            if isinstance(e, int):
-                irow.append(e)
-            elif isinstance(e, Fraction):
-                if e.denominator != 1:
-                    return None
-                irow.append(e.numerator)
-            else:
-                return None
-        out.append(irow)
+            d = e.denominator
+            if d != 1:
+                den = lcm(den, d)
+        if den == 1:
+            out.append([e.numerator for e in row])
+        else:
+            out.append([e.numerator * (den // e.denominator) for e in row])
     return out
 
 
 def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
-    """RREF of a list of rows, returned as Fraction (or Gaussian) rows."""
+    """RREF of a list of rational rows, returned as Fraction rows (zero
+    rows last) with the pivot columns."""
     irows = _as_int_rows(rows)
-    if irows is not None:
-        pivots = _rref_int(irows)
-        ncols = len(irows[0]) if irows else 0
-        zero_row = [Fraction(0)] * ncols
-        out = []
-        for ridx, c in enumerate(pivots):
-            pv = irows[ridx][c]
-            out.append([Fraction(v, pv) for v in irows[ridx]])
-        for _ in range(len(irows) - len(pivots)):
-            out.append(list(zero_row))
-        return out, pivots
-    pivots = _rref_generic(rows)
-    return rows, pivots
+    pivots = _rref_int(irows)
+    ncols = len(irows[0]) if irows else 0
+    zero = Fraction(0)
+    out = []
+    for ridx, c in enumerate(pivots):
+        pv = irows[ridx][c]
+        out.append([Fraction(v, pv) if v else zero for v in irows[ridx]])
+    for _ in range(len(irows) - len(pivots)):
+        out.append([zero] * ncols)
+    return out, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +287,7 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the matrix's scalar field."""
+    """Exact rank over the rationals."""
     _, pivots = _rref_rows(m.row_lists())
     return len(pivots)
 
@@ -444,22 +305,20 @@ def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
     free = [c for c in range(n) if c not in pivset]
     if not free:
         return ()
-    zero = m._scalar_zero()
-    one = m._scalar_one()
     vecs = []
     for f in free:
-        v = [zero] * n
-        v[f] = one
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
         for ridx, c in enumerate(pivots):
             e = red[ridx][f]
             if e:
                 v[c] = -e
         vecs.append(v)
     # canonicalize: reduced echelon basis of the spanned subspace
-    piv2 = _rref_generic(vecs)
+    canon, piv2 = _rref_rows(vecs)
     if len(piv2) != len(vecs):
         raise AssertionError("kernel vectors must be independent")
-    return tuple(tuple(v) for v in vecs)
+    return tuple(tuple(v) for v in canon)
 
 
 def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
@@ -476,7 +335,7 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
     n = m.cols
     if n in pivots:
         return None
-    x = [m._scalar_zero()] * n
+    x = [Fraction(0)] * n
     for ridx, c in enumerate(pivots):
         x[c] = red[ridx][n]
     return tuple(x)
@@ -489,7 +348,7 @@ def det(m: Matrix) -> Scalar:
     rows = m.row_lists()
     n = m.rows
     sign = 1
-    result = m._scalar_one()
+    result = Fraction(1)
     for c in range(n):
         hit = -1
         for i in range(c, n):
@@ -497,7 +356,7 @@ def det(m: Matrix) -> Scalar:
                 hit = i
                 break
         if hit < 0:
-            return m._scalar_zero()
+            return Fraction(0)
         if hit != c:
             rows[c], rows[hit] = rows[hit], rows[c]
             sign = -sign

@@ -38,18 +38,20 @@ class OrbitType(enum.Enum):
 
 CONVENTION_DEFAULT = "short=sp1xu1"
 
+_DEFAULT_LABELS = {
+    OrbitType.FULL: "G2/G2",
+    OrbitType.TORUS: "G2/(U(1)xU(1))",
+    OrbitType.DIM4_SHORT: "G2/((Sp(1)xU(1))/Z2)",
+    OrbitType.DIM4_LONG: "G2/((U(1)xSp(1))/Z2)",
+}
+
+# the other convention swaps the labels of the two 4-dimensional classes
 _LABELS = {
-    "short=sp1xu1": {
-        OrbitType.FULL: "G2/G2",
-        OrbitType.TORUS: "G2/(U(1)xU(1))",
-        OrbitType.DIM4_SHORT: "G2/((Sp(1)xU(1))/Z2)",
-        OrbitType.DIM4_LONG: "G2/((U(1)xSp(1))/Z2)",
-    },
+    CONVENTION_DEFAULT: _DEFAULT_LABELS,
     "short=u1xsp1": {
-        OrbitType.FULL: "G2/G2",
-        OrbitType.TORUS: "G2/(U(1)xU(1))",
-        OrbitType.DIM4_SHORT: "G2/((U(1)xSp(1))/Z2)",
-        OrbitType.DIM4_LONG: "G2/((Sp(1)xU(1))/Z2)",
+        **_DEFAULT_LABELS,
+        OrbitType.DIM4_SHORT: _DEFAULT_LABELS[OrbitType.DIM4_LONG],
+        OrbitType.DIM4_LONG: _DEFAULT_LABELS[OrbitType.DIM4_SHORT],
     },
 }
 

@@ -2,8 +2,10 @@
 
 The Cartan subalgebra is the rank-2 space of derivations that act on the
 complex-model vector part as i*diag(t1, t2, t3) with t1+t2+t3 = 0 (and kill
-the scalar part).  Roots are extracted as exact eigenvalue kernels of the
-adjoint action over the Gaussian rationals; no floating point is involved.
+the scalar part).  Each root pair acts on a real plane of the algebra, on
+which ad(H)^2 = -alpha(H)^2; the roots are read off exact rational kernels
+of ad(H*)^2 + v^2 for a generic H*, so no complex scalars and no floating
+point are involved.
 Squared root lengths are measured in the positive-definite form -B (B is
 the Killing form, negative definite here), so "short" is the minimum.
 """
@@ -23,7 +25,7 @@ from .derivations import (
     killing_form,
 )
 from .errors import InternalInvariantError, SumNonzeroError
-from .linalg import GaussianRational, Matrix, kernel_basis, solve
+from .linalg import Matrix, _frac, kernel_basis, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (Fraction(1), Fraction(-1), Fraction(0))
@@ -31,10 +33,6 @@ TAU_H2 = (Fraction(0), Fraction(1), Fraction(-1))
 
 #: designated generic element: all 12 root values are distinct there
 TAU_GENERIC = (Fraction(1), Fraction(-4), Fraction(3))
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class CartanElement:
@@ -159,34 +157,18 @@ def _cartan_gram() -> Matrix:
     return Matrix.from_rows([[g11, g12], [g12, g22]])
 
 
-def _eigenvalue_on(ad: Matrix, w) -> int:
-    """The exact eigenvalue i*v of ad on the eigenvector w; returns v.
-
-    Verifies ad w = lambda w exactly and that lambda is purely imaginary
-    with an integer coefficient.
-    """
-    u = ad.apply(w)
-    k = next(i for i, x in enumerate(w) if x)
-    lam = u[k] / w[k]
-    if any(u[i] != lam * w[i] for i in range(len(w))):
-        raise InternalInvariantError("root space vector is not a joint eigenvector")
-    if lam.re != 0 or lam.im.denominator != 1:
-        raise InternalInvariantError(f"eigenvalue {lam} is not an integer multiple of i")
-    return int(lam.im)
-
-
-def _gaussian_shifted(ad: Matrix, v: int) -> Matrix:
-    """ad - i*v*I over the Gaussian rationals."""
-    n = ad.rows
-    ents = []
-    for i in range(n):
-        for j in range(n):
-            e = ad.entry(i, j)
-            if i == j:
-                ents.append(GaussianRational(e, Fraction(-v)))
-            else:
-                ents.append(GaussianRational(e))
-    return Matrix(n, n, ents)
+def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
+    """The integer r with ad w = (r/v) u, where u = ad(H*) w and w lies on
+    the root plane where ad(H*)^2 = -v^2; checked on every coordinate."""
+    adw = ad.apply(w)
+    k = next(i for i, x in enumerate(u) if x)
+    q = adw[k] / u[k]
+    if any(adw[i] != q * u[i] for i in range(len(u))):
+        raise InternalInvariantError("root plane vector is not a joint eigenvector")
+    r = q * v
+    if r.denominator != 1:
+        raise InternalInvariantError(f"root value {r} is not an integer")
+    return r
 
 
 def _compute_root_system(b: G2AlgebraBasis):
@@ -202,26 +184,28 @@ def _compute_root_system(b: G2AlgebraBasis):
             f"generic Cartan element has centralizer dimension {zero_dim}, expected 2"
         )
 
-    # |eigenvalues|^2 sum to -B(H*, H*), which bounds the integer scan
+    # the squared root values sum to -B(H*, H*), which bounds the integer scan
     total = -killing_form(h_star, h_star, b)
     vmax = isqrt(int(total))
 
     gram = _cartan_gram()
+    square = ad_star * ad_star
+    eye = Matrix.identity(b.dim)
     raw = []
-    for v in range(-vmax, vmax + 1):
-        if v == 0:
-            continue
-        kern = kernel_basis(_gaussian_shifted(ad_star, v))
+    for v in range(1, vmax + 1):
+        kern = kernel_basis(square + eye * (v * v))
         if not kern:
             continue
-        if len(kern) > 1:
+        if len(kern) != 2:
             raise InternalInvariantError(
-                f"eigenvalue {v}i of the generic element has multiplicity {len(kern)}"
+                f"ad(H*)^2 + {v * v} has a kernel of dimension {len(kern)}, not 2"
             )
         w = kern[0]
-        r1 = _eigenvalue_on(_to_gaussian(ad1), w)
-        r2 = _eigenvalue_on(_to_gaussian(ad2), w)
-        raw.append((canonical_root_coeffs((r1, 0, -r2)), Fraction(r1), Fraction(r2)))
+        u = ad_star.apply(w)
+        r1 = _root_value(ad1, w, u, v)
+        r2 = _root_value(ad2, w, u, v)
+        for s1, s2 in ((r1, r2), (-r1, -r2)):
+            raw.append((canonical_root_coeffs((s1, 0, -s2)), s1, s2))
 
     if len(raw) + zero_dim != b.dim:
         raise InternalInvariantError(
@@ -245,20 +229,15 @@ def _compute_root_system(b: G2AlgebraBasis):
     return roots
 
 
-def _to_gaussian(m: Matrix) -> Matrix:
-    return Matrix(m.rows, m.cols, [GaussianRational(e) for e in m.entries])
-
-
-_DEFAULT_ROOTS = None
+@lru_cache(maxsize=1)
+def _default_root_system():
+    return _compute_root_system(derivation_basis())
 
 
 def root_system(b: G2AlgebraBasis = None):
     """All 12 roots with exact Killing lengths, sorted by coefficients."""
-    global _DEFAULT_ROOTS
     if b is None or b is derivation_basis():
-        if _DEFAULT_ROOTS is None:
-            _DEFAULT_ROOTS = _compute_root_system(derivation_basis())
-        return _DEFAULT_ROOTS
+        return _default_root_system()
     return _compute_root_system(b)
 
 

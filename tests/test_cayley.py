@@ -6,6 +6,7 @@ import pytest
 from g2orbits.cayley import (
     MULT_TABLE,
     ComplexModelElement,
+    GaussianRational,
     Octonion,
     from_complex_model,
     gamma,
@@ -17,9 +18,13 @@ from g2orbits.cayley import (
     norm,
     to_complex_model,
 )
-from g2orbits.linalg import GaussianRational, Matrix
+from g2orbits.linalg import Matrix
 
 E = [Octonion.basis(i) for i in range(8)]
+
+
+def F(n, d=1):
+    return Fraction(n, d)
 
 
 def random_octonion(rng):
@@ -154,6 +159,41 @@ class TestGammaMaps:
         assert not is_automorphism_matrix(bad)
 
 
+class TestGaussianRational:
+    def test_arithmetic(self):
+        a = GaussianRational(F(1, 2), F(3))
+        b = GaussianRational(F(2), F(-1, 2))
+        assert a + b == GaussianRational(F(5, 2), F(5, 2))
+        assert a - b == GaussianRational(F(-3, 2), F(7, 2))
+        # (1/2 + 3i)(2 - i/2) = 1 - i/4 + 6i - 3i^2/2 = 5/2 + 23i/4
+        assert a * b == GaussianRational(F(5, 2), F(23, 4))
+
+    def test_division_roundtrip(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            a = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
+            b = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
+            if not b:
+                continue
+            assert (a / b) * b == a
+
+    def test_mixed_scalars(self):
+        a = GaussianRational(2, 3)
+        assert a + 1 == GaussianRational(3, 3)
+        assert 1 + a == GaussianRational(3, 3)
+        assert Fraction(1, 2) * a == GaussianRational(1, F(3, 2))
+        assert a == a.conjugate().conjugate()
+        assert GaussianRational(5) == 5
+        assert GaussianRational(5) == Fraction(5)
+
+    def test_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational(1) / GaussianRational(0)
+
+    def test_norm(self):
+        assert GaussianRational(3, 4).norm() == 25
+
+
 class TestComplexModel:
     def test_basis_decomposition(self):
         u = to_complex_model(E[0])
@@ -212,3 +252,8 @@ class TestComplexModel:
 def test_octonion_validation():
     with pytest.raises(ValueError):
         Octonion([1, 2, 3])
+
+
+def test_octonion_rejects_floats():
+    with pytest.raises(TypeError):
+        Octonion([0.1] * 8)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from g2orbits.cli import main
 
@@ -126,3 +129,27 @@ class TestRootsCommand:
         assert classes.count("short") == 6 and classes.count("long") == 6
         lengths = {r["killing_sq_length"] for r in d["roots"]}
         assert lengths == {"1/12", "1/4"}
+
+
+#: sha256 of stdout, pinned so that changes to the exact core cannot alter
+#: the canonical bases, roots or census by a single byte
+STDOUT_SHA256 = {
+    "table": (["table"], "bb9a019d13de4a48486795879dd1e895f02e843db1adff2629436650ab71f412"),
+    "roots": (["roots"], "71ac9aed53b3774f511b6e228fdef1ab662b8e7f456a83fbfa15dbef727c0e15"),
+    "derivations": (
+        ["derivations"],
+        "d54e65b4408be1e819c9061f028b73467bd9f764804f116d9c66f323bc083a5f",
+    ),
+    "scan_radius6_csv": (
+        ["scan", "--radius", "6", "--format", "csv"],
+        "a5688d901db892a9d27127434459d5d88870c6146b263ac7f0d8ef9ce6b484fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STDOUT_SHA256))
+def test_stdout_is_byte_identical(capsys, name):
+    argv, digest = STDOUT_SHA256[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

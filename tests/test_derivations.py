@@ -266,3 +266,9 @@ class TestExpNumeric:
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             exp_derivation_numeric(Derivation.zero(), 1.0, terms=8)
+
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_time_rejected(self, t):
+        d = derivation_basis().basis[0]
+        with pytest.raises(ValueError):
+            exp_derivation_numeric(d, t)

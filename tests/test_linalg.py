@@ -3,46 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from g2orbits.linalg import GaussianRational, Matrix, det, kernel_basis, rank, rref, solve
+from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref, solve
 
 
 def F(n, d=1):
     return Fraction(n, d)
-
-
-class TestGaussianRational:
-    def test_arithmetic(self):
-        a = GaussianRational(F(1, 2), F(3))
-        b = GaussianRational(F(2), F(-1, 2))
-        assert a + b == GaussianRational(F(5, 2), F(5, 2))
-        assert a - b == GaussianRational(F(-3, 2), F(7, 2))
-        # (1/2 + 3i)(2 - i/2) = 1 - i/4 + 6i - 3i^2/2 = 5/2 + 23i/4
-        assert a * b == GaussianRational(F(5, 2), F(23, 4))
-
-    def test_division_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            a = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
-            b = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
-            if not b:
-                continue
-            assert (a / b) * b == a
-
-    def test_mixed_scalars(self):
-        a = GaussianRational(2, 3)
-        assert a + 1 == GaussianRational(3, 3)
-        assert 1 + a == GaussianRational(3, 3)
-        assert Fraction(1, 2) * a == GaussianRational(1, F(3, 2))
-        assert a == a.conjugate().conjugate()
-        assert GaussianRational(5) == 5
-        assert GaussianRational(5) == Fraction(5)
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(1) / GaussianRational(0)
-
-    def test_norm(self):
-        assert GaussianRational(3, 4).norm() == 25
 
 
 class TestMatrixBasics:
@@ -116,13 +81,49 @@ class TestKernel:
         assert kernel_basis(a) == kernel_basis(b)
         assert rref(a) == rref(b)
 
-    def test_gaussian_kernel(self):
-        i = GaussianRational(0, 1)
-        one = GaussianRational(1)
-        a = Matrix.from_rows([[one, i]])
-        (v,) = kernel_basis(a)
-        assert not any(a.apply(v))
-        assert v[0] == 1
+
+class TestRowScaling:
+    """Elimination multiplies every row by the lcm of its denominators
+    before the fraction-free core runs; results must not depend on it."""
+
+    @staticmethod
+    def _rational(rng, big=10**9):
+        return F(rng.randint(-big, big), rng.randint(1, big))
+
+    def test_kernel_rref_solve_unchanged(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            m = rng.randint(1, 6)
+            n = rng.randint(1, 6)
+            # rank-deficient on purpose: rows are combinations of k rows
+            k = rng.randint(1, min(m, n))
+            gens = [[self._rational(rng) for _ in range(n)] for _ in range(k)]
+            rows = []
+            for _ in range(m):
+                cs = [self._rational(rng) for _ in range(k)]
+                rows.append([sum((c * g[j] for c, g in zip(cs, gens)), F(0)) for j in range(n)])
+            a = Matrix.from_rows(rows)
+            if rng.random() < 0.5:
+                rhs = a.apply([self._rational(rng) for _ in range(n)])
+            else:
+                rhs = tuple(self._rational(rng) for _ in range(m))
+            scales = []
+            for _ in range(m):
+                c = F(0)
+                while c == 0:
+                    c = self._rational(rng)
+                scales.append(c)
+            scaled = Matrix.from_rows([[c * x for x in row] for c, row in zip(scales, rows)])
+            scaled_rhs = tuple(c * x for c, x in zip(scales, rhs))
+
+            kern = kernel_basis(a)
+            assert kernel_basis(scaled) == kern
+            assert all(not any(a.apply(v)) for v in kern)
+            assert rref(scaled) == rref(a)
+            x = solve(a, rhs)
+            assert solve(scaled, scaled_rhs) == x
+            if x is not None:
+                assert a.apply(x) == rhs
 
 
 class TestSolve:

@@ -111,6 +111,12 @@ class TestClassify:
         # the label never changes for FULL and TORUS
         assert classify(CartanElement.of(0, 0, 0), convention="short=u1xsp1").orbit_label == "G2/G2"
 
+    def test_float_tau_rejected(self):
+        # (0.1, 0.2, -0.3) as binary floats does not sum to zero; the float
+        # itself is the error, not the sum
+        with pytest.raises(TypeError):
+            classify((0.1, 0.2, -0.3))
+
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
             classify(CartanElement.of(1, 0, -1), convention="short=nonsense")

@@ -40,6 +40,10 @@ class TestCartanElement:
     def test_scaled(self):
         assert CartanElement.of(1, 0, -1).scaled(F(3, 2)) == CartanElement.of(F(3, 2), 0, F(-3, 2))
 
+    def test_scaled_rejects_float(self):
+        with pytest.raises(TypeError):
+            CartanElement.of(1, 0, -1).scaled(0.1)
+
 
 class TestCartanBasis:
     def test_generators_commute(self):
