@@ -30,7 +30,6 @@ from .cayley import (
     to_complex_model,
 )
 from .derivations import (
-    adjoint_matrix,
     bracket,
     derivation_basis,
     exp_derivation_numeric,
@@ -41,8 +40,8 @@ from .derivations import (
     subalgebra_structure,
 )
 from .linalg import Matrix, det, kernel_basis, rref
-from .orbits import OrbitType, classify, scan
-from .roots import CartanElement, cartan_element, root_system, weyl_reflect
+from .orbits import classify, scan
+from .roots import CartanElement, root_system, weyl_reflect
 
 
 @lru_cache(maxsize=1)

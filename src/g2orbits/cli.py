@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,16 +27,30 @@ from .orbits import CONVENTION_DEFAULT, classify, conventions, scan
 from .roots import CartanElement, root_system
 
 
+# bounds on each --tau literal, checked before Fraction expands it
+# (1e100000000 would be an exact integer of 10^8 digits)
+TAU_MAX_CHARS = 100
+TAU_MAX_EXPONENT = 100
+_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)$")
+
+
 class _InputError(Exception):
     """Invalid command-line input (exit code 2)."""
 
 
 def _parse_tau(text: str, project: bool) -> CartanElement:
-    parts = text.split(",")
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise _InputError(f"--tau needs 3 comma-separated rationals, got {text!r}")
+    for p in parts:
+        exp = _EXPONENT.search(p)
+        if len(p) > TAU_MAX_CHARS or exp and abs(int(exp.group(1).replace("_", ""))) > TAU_MAX_EXPONENT:
+            raise _InputError(
+                f"--tau literal {p[:24]!r} is out of bounds: at most {TAU_MAX_CHARS} characters"
+                f" and a decimal exponent of magnitude at most {TAU_MAX_EXPONENT}"
+            )
     try:
-        vals = [Fraction(p.strip()) for p in parts]
+        vals = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"bad rational in --tau: {exc}") from None
     total = sum(vals)

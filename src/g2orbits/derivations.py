@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import MULT_TABLE, Octonion, apply_matrix, is_automorphism_matrix
+from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
 from .linalg import Matrix, kernel_basis, rank, rref
 
@@ -306,6 +306,13 @@ def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis) -> Fraction:
     return total
 
 
+def _kernel_of_images(images):
+    """Canonical kernel basis of the coefficients c with sum_i c_i images[i] = 0,
+    given one image vector per basis element."""
+    rows = len(images[0])
+    return kernel_basis(Matrix(rows, len(images), [v[r] for r in range(rows) for v in images]))
+
+
 def fixed_subalgebra(sigma: Matrix, b: G2AlgebraBasis):
     """Canonical basis of the derivations commuting with an automorphism.
 
@@ -315,12 +322,7 @@ def fixed_subalgebra(sigma: Matrix, b: G2AlgebraBasis):
     """
     if not is_automorphism_matrix(sigma):
         raise ValueError("sigma is not an exact algebra automorphism")
-    cols = []
-    for d in b.basis:
-        m = sigma * d.matrix - d.matrix * sigma
-        cols.append(m.entries)
-    system = Matrix(64, b.dim, [cols[i][r] for r in range(64) for i in range(b.dim)])
-    kern = kernel_basis(system)
+    kern = _kernel_of_images([(sigma * d.matrix - d.matrix * sigma).entries for d in b.basis])
     return tuple(b.from_coordinates(v) for v in kern)
 
 
@@ -332,9 +334,7 @@ def stabilizer_subalgebra(x: Octonion, b: G2AlgebraBasis):
     infinitesimal stabilizer of a point on the 6-sphere of imaginary
     units.
     """
-    cols = [d.apply(x).coords for d in b.basis]
-    system = Matrix(8, b.dim, [cols[i][r] for r in range(8) for i in range(b.dim)])
-    kern = kernel_basis(system)
+    kern = _kernel_of_images([d.apply(x).coords for d in b.basis])
     return tuple(b.from_coordinates(v) for v in kern)
 
 
@@ -351,15 +351,13 @@ def subalgebra_structure(s, b: G2AlgebraBasis) -> SubalgebraSummary:
 
     Raises NotBracketClosedError if some bracket leaves the span of s.
     """
-    if not s:
-        return SubalgebraSummary(0, 0, 0, True)
     rows, pivots = _span_rows([d.flat() for d in s])
     dim = len(rows)
     if dim == 0:
         return SubalgebraSummary(0, 0, 0, True)
     red = [Derivation.from_flat(r) for r in rows]
 
-    pair_brackets = {}
+    pair_brackets = {(i, i): Derivation.zero() for i in range(dim)}
     for i in range(dim):
         for j in range(i + 1, dim):
             br = bracket(red[i], red[j])
@@ -367,27 +365,16 @@ def subalgebra_structure(s, b: G2AlgebraBasis) -> SubalgebraSummary:
                 raise NotBracketClosedError(
                     "bracket of subalgebra elements leaves the span"
                 )
-            pair_brackets[(i, j)] = br
+            pair_brackets[i, j] = br
+            pair_brackets[j, i] = -br
 
-    nonzero = [br.flat() for br in pair_brackets.values() if not br.is_zero()]
+    nonzero = [br.flat() for (i, j), br in pair_brackets.items() if i < j and not br.is_zero()]
     derived_dim = rank(Matrix.from_rows(nonzero)) if nonzero else 0
 
     # centralizer of the subalgebra inside itself: x = sum c_i red_i with
-    # [x, red_j] = 0 for all j
-    zero_flat = (Fraction(0),) * 64
-    stacked = []
-    for j in range(dim):
-        for r in range(64):
-            row = []
-            for i in range(dim):
-                if i == j:
-                    row.append(zero_flat[r])
-                elif i < j:
-                    row.append(pair_brackets[(i, j)].flat()[r])
-                else:
-                    row.append(-pair_brackets[(j, i)].flat()[r])
-            stacked.append(row)
-    center_dim = len(kernel_basis(Matrix.from_rows(stacked)))
+    # [x, red_j] = 0 for all j, so red_i maps to its brackets with every red_j
+    images = [[v for j in range(dim) for v in pair_brackets[i, j].flat()] for i in range(dim)]
+    center_dim = len(_kernel_of_images(images))
     return SubalgebraSummary(dim, derived_dim, center_dim, derived_dim == 0)
 
 

@@ -1,10 +1,12 @@
 """Adjoint orbit classification for Cartan elements.
 
-The centralizer of a Cartan element inside the derivation algebra has
-dimension 14 (zero element), 4 (exactly one root pair vanishes) or 2
-(generic); anything else aborts with InternalInvariantError.  The two
-4-dimensional cases are distinguished by the Killing length class of the
-vanishing root pair, which is Weyl invariant.  Display labels for the two
+The centralizer of a Cartan element is the Cartan subalgebra plus the root
+spaces of the roots vanishing on it, so classification is keyed by the
+vanishing roots (8 possible sets), and each set's centralizer is computed
+exactly once.  Its dimension is 14 (zero element), 4 (exactly one root pair
+vanishes) or 2 (generic); anything else aborts with InternalInvariantError.
+The two 4-dimensional cases are distinguished by the Killing length class of
+the vanishing root pair, which is Weyl invariant.  Display labels for the two
 length classes are attached through a naming convention flag, since the
 pairing of labels with length classes is presentation, not mathematics.
 """
@@ -13,11 +15,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .derivations import (
-    Derivation,
     G2AlgebraBasis,
     SubalgebraSummary,
     adjoint_matrix,
@@ -25,8 +25,8 @@ from .derivations import (
     subalgebra_structure,
 )
 from .errors import InternalInvariantError
-from .linalg import Matrix, kernel_basis
-from .roots import CartanElement, Root, _coerce_cartan, cartan_basis, root_system, vanishing_roots
+from .linalg import kernel_basis
+from .roots import TAU_GENERIC, CartanElement, _coerce_cartan, cartan_element, root_system, vanishing_roots
 
 
 class OrbitType(enum.Enum):
@@ -86,64 +86,58 @@ class ClassificationReport:
         }
 
 
-@lru_cache(maxsize=1)
-def _cartan_adjoints():
-    """Adjoint matrices of H1, H2 in the canonical basis (entry tuples)."""
-    b = derivation_basis()
-    h1, h2 = cartan_basis()
-    return adjoint_matrix(h1, b).entries, adjoint_matrix(h2, b).entries
-
-
-def _ad_of_tau(tau: CartanElement, b: G2AlgebraBasis) -> Matrix:
-    """ad(cartan_element(tau)) via linearity: tau = t1*H1 - t3*H2."""
-    a1, a2 = _cartan_adjoints()
-    t1 = tau.tau[0]
-    mt3 = -tau.tau[2]
-    ents = [t1 * x + mt3 * y for x, y in zip(a1, a2)]
-    return Matrix(b.dim, b.dim, ents)
-
-
 def centralizer(tau, b: G2AlgebraBasis = None):
     """Canonical basis of the derivations commuting with cartan_element(tau)."""
-    tau = _coerce_cartan(tau)
     if b is None:
         b = derivation_basis()
-    kern = kernel_basis(_ad_of_tau(tau, b))
+    kern = kernel_basis(adjoint_matrix(cartan_element(tau), b))
     return tuple(b.from_coordinates(v) for v in kern)
 
 
+@lru_cache
+def _stabilizer(van: tuple, b: G2AlgebraBasis):
+    """(stabilizer_dim, orbit_type, structure) of every tau on which exactly
+    the roots van vanish, from the centralizer of one such representative:
+    the generic element, zero, or (1,1,1) x a for a pair with coefficients a.
+    """
+    if not van:
+        rep = TAU_GENERIC
+    elif len(van) == 12:
+        rep = (0, 0, 0)
+    else:
+        a1, a2, a3 = van[0].coeffs
+        rep = (a3 - a2, a1 - a3, a2 - a1)
+    if vanishing_roots(rep, root_system(b)) != van:
+        raise InternalInvariantError(f"no representative for vanishing roots {[r.coeffs for r in van]}")
+    cent = centralizer(rep, b)
+    dim = len(cent)
+    if dim not in (2, 4, 14) or dim != 2 + len(van):
+        raise InternalInvariantError(f"stabilizer dimension {dim} with {len(van)} vanishing roots")
+    if dim == 14:
+        orbit_type = OrbitType.FULL
+    elif dim == 2:
+        orbit_type = OrbitType.TORUS
+    elif van[0].length_class != van[1].length_class:
+        raise InternalInvariantError("vanishing root pair of mixed length class")
+    else:
+        orbit_type = OrbitType.DIM4_SHORT if van[0].length_class == "short" else OrbitType.DIM4_LONG
+    return dim, orbit_type, subalgebra_structure(cent, b)
+
+
 def classify(tau, convention: str = CONVENTION_DEFAULT, b: G2AlgebraBasis = None) -> ClassificationReport:
-    """Full orbit-type report for a Cartan element.
+    """Full orbit-type report for a Cartan element, keyed by its vanishing roots.
 
     Raises SumNonzeroError for bad input and InternalInvariantError if the
-    computed stabilizer dimension falls outside {2, 4, 14} (that would
-    contradict the four-orbit-type classification and must abort loudly).
+    stabilizer dimension falls outside {2, 4, 14} (that would contradict
+    the four-orbit-type classification and must abort loudly).
     """
     tau = _coerce_cartan(tau)
     if convention not in _LABELS:
         raise ValueError(f"unknown convention {convention!r}")
     if b is None:
         b = derivation_basis()
-    cent = centralizer(tau, b)
-    dim = len(cent)
-    if dim not in (2, 4, 14):
-        raise InternalInvariantError(f"stabilizer dimension {dim} outside {{2, 4, 14}}")
     van = vanishing_roots(tau, root_system(b))
-    expected_vanishing = {14: 12, 4: 2, 2: 0}[dim]
-    if len(van) != expected_vanishing:
-        raise InternalInvariantError(
-            f"stabilizer dimension {dim} with {len(van)} vanishing roots"
-        )
-    if dim == 14:
-        orbit_type = OrbitType.FULL
-    elif dim == 2:
-        orbit_type = OrbitType.TORUS
-    else:
-        classes = {r.length_class for r in van}
-        if len(classes) != 1:
-            raise InternalInvariantError("vanishing root pair of mixed length class")
-        orbit_type = OrbitType.DIM4_SHORT if classes == {"short"} else OrbitType.DIM4_LONG
-    structure = subalgebra_structure(cent, b)
+    dim, orbit_type, structure = _stabilizer(van, b)
     return ClassificationReport(
         tau=tau,
         stabilizer_dim=dim,
@@ -162,14 +156,13 @@ class Census:
     radius: int
     counts: dict
     reports: tuple
-    dims_ok: bool
 
     def to_json_dict(self) -> dict:
         return {
             "radius": self.radius,
             "points": len(self.reports),
             "counts": dict(self.counts),
-            "stabilizer_dims_ok": self.dims_ok,
+            "stabilizer_dims_ok": True,
             "census": [
                 {
                     "tau": [int(t) for t in rep.tau.tau],
@@ -192,20 +185,15 @@ def scan(radius: int, convention: str = CONVENTION_DEFAULT, b: G2AlgebraBasis = 
 
     Points are enumerated lexicographically in (t1, t2).  Any stabilizer
     dimension outside {2, 4, 14} raises InternalInvariantError from
-    classify, so a returned census always has dims_ok=True.
+    classify, so every census reports stabilizer_dims_ok as true.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    if b is None:
-        b = derivation_basis()
     counts = {t.name: 0 for t in OrbitType}
     reports = []
     for t1 in range(-radius, radius + 1):
-        for t2 in range(-radius, radius + 1):
-            t3 = -t1 - t2
-            if abs(t3) > radius:
-                continue
-            rep = classify(CartanElement.of(t1, t2, t3), convention, b)
+        for t2 in range(max(-radius, -radius - t1), min(radius, radius - t1) + 1):
+            rep = classify(CartanElement.of(t1, t2, -t1 - t2), convention, b)
             counts[rep.orbit_type.name] += 1
             reports.append(rep)
-    return Census(radius=radius, counts=counts, reports=tuple(reports), dims_ok=True)
+    return Census(radius=radius, counts=counts, reports=tuple(reports))

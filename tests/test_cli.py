@@ -67,6 +67,42 @@ class TestClassifyCommand:
         assert d["orbit_label"] == "G2/((U(1)xSp(1))/Z2)"
         assert d["convention"] == "short=u1xsp1"
 
+    @pytest.mark.parametrize("tau", ["1e400,0,-1e400", "1e-400,0,-1e-400"])
+    def test_exponent_beyond_bound_exit_2(self, capsys, tau):
+        code, out, err = run_cli(capsys, "classify", "--tau", tau, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "exponent of magnitude at most 100" in err
+
+    def test_huge_exponent_rejected_before_parsing(self, capsys, monkeypatch):
+        # Fraction("1e100000000") would build an integer of 10^8 digits
+        def no_parse(text):
+            raise AssertionError(f"Fraction({text!r}) was called")
+
+        monkeypatch.setattr("g2orbits.cli.Fraction", no_parse)
+        code, out, err = run_cli(capsys, "classify", "--tau", "1e100000000,0,-1e100000000")
+        assert code == 2
+        assert err.startswith("error:") and "out of bounds" in err
+
+    def test_long_literal_exit_2(self, capsys):
+        big = "1" + "0" * 100  # 101 characters
+        code, out, err = run_cli(capsys, "classify", "--tau", f"{big},0,-{big}")
+        assert code == 2
+        assert err.startswith("error:") and "at most 100 characters" in err
+
+    def test_literals_within_bounds_parse(self, capsys):
+        half = "-5" + "0" * 98  # 100 characters, like the first component
+        for tau, first, orbit_type in [
+            ("123456789/987654320,0,-123456789/987654320", "123456789/987654320", "DIM4_SHORT"),
+            ("1e100,0,-1e100", "1" + "0" * 100, "DIM4_SHORT"),
+            (f"1{'0' * 99},{half},{half}", "1" + "0" * 99, "DIM4_LONG"),
+        ]:
+            code, out, err = run_cli(capsys, "classify", "--tau", tau, "--json")
+            assert code == 0, err
+            d = json.loads(out)
+            assert d["tau"][0] == first
+            assert d["orbit_type"] == orbit_type
+
 
 class TestScanCommand:
     def test_csv(self, capsys):

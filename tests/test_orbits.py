@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from g2orbits.derivations import bracket, derivation_basis
+from g2orbits import orbits
+from g2orbits.derivations import bracket, derivation_basis, subalgebra_structure
 from g2orbits.errors import SumNonzeroError
 from g2orbits.linalg import Matrix, rank
 from g2orbits.orbits import (
@@ -218,3 +219,90 @@ class TestScan:
         assert d["points"] == 7
         assert d["stabilizer_dims_ok"] is True
         assert d["counts"]["DIM4_SHORT"] == 6
+
+
+def lattice_ball(radius):
+    for t1 in range(-radius, radius + 1):
+        for t2 in range(-radius, radius + 1):
+            if abs(t1 + t2) <= radius:
+                yield CartanElement.of(t1, t2, -t1 - t2)
+
+
+def exact_report(tau):
+    """(dim, orbit type, structure, vanishing roots) built for this one tau
+    from its own centralizer kernel and the root rule."""
+    b = derivation_basis()
+    cent = centralizer(tau, b)
+    van = tuple(r for r in root_system() if r.value(tau) == 0)
+    classes = {r.length_class for r in van}
+    if len(van) == 12:
+        orbit_type = OrbitType.FULL
+    elif not van:
+        orbit_type = OrbitType.TORUS
+    else:
+        assert len(van) == 2 and len(classes) == 1, van
+        orbit_type = OrbitType.DIM4_SHORT if classes == {"short"} else OrbitType.DIM4_LONG
+    return len(cent), orbit_type, subalgebra_structure(cent, b), van
+
+
+class TestVanishingSetMemo:
+    """classify reads each vanishing set's stabilizer from a memo; the
+    per-point centralizer kernel is the oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(tau):
+        rep = classify(tau)
+        assert (rep.stabilizer_dim, rep.orbit_type, rep.structure, rep.vanishing) == exact_report(tau), tau
+
+    def test_every_point_of_radius_12(self):
+        for tau in lattice_ball(12):
+            self.assert_matches_oracle(tau)
+
+    @pytest.mark.parametrize("base", [(0, 0, 0), (1, 2, -3), (1, 0, -1), (1, 1, -2)])
+    def test_weyl_images_and_rescalings(self, base):
+        rng = random.Random(repr(base))
+        roots = root_system()
+        for _ in range(8):
+            tau = CartanElement.of(*base)
+            for _ in range(rng.randint(1, 4)):
+                tau = weyl_reflect(rng.choice(roots), tau)
+            c = F(rng.choice((-1, 1)) * rng.randint(10**8, 10**9 - 1), rng.randint(10**8, 10**9 - 1))
+            self.assert_matches_oracle(tau.scaled(c))
+
+    def test_one_fill_per_vanishing_set(self):
+        orbits._stabilizer.cache_clear()
+        census = scan(12)
+        info = orbits._stabilizer.cache_info()
+        assert (info.misses, info.currsize) == (8, 8)
+        assert info.hits == len(census.reports) - 8
+
+    def test_full_memo_needs_no_kernel(self, monkeypatch):
+        scan(3)  # every vanishing set occurs by radius 3
+
+        def forbidden(*args):
+            raise AssertionError("per-point kernel work in classify")
+
+        monkeypatch.setattr(orbits, "kernel_basis", forbidden)
+        monkeypatch.setattr(orbits, "subalgebra_structure", forbidden)
+        assert scan(12).counts == closed_form_counts(12)
+
+
+def closed_form_counts(radius):
+    """Lattice census of the ball of the given radius in closed form.  A
+    short pair vanishes on the permutations of (a, -a, 0), a long pair on
+    those of +-(a, a, -2a), 6 points for each a > 0 inside the ball; the
+    rest is TORUS."""
+    half = radius // 2
+    return {
+        "FULL": 1,
+        "TORUS": 3 * radius * radius - 3 * radius - 6 * half,
+        "DIM4_SHORT": 6 * radius,
+        "DIM4_LONG": 6 * half,
+    }
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 6, 7, 12])
+def test_census_matches_closed_form(radius):
+    census = scan(radius)
+    assert len(census.reports) == 3 * radius * radius + 3 * radius + 1
+    assert census.counts == closed_form_counts(radius)
