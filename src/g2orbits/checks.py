@@ -30,6 +30,7 @@ from .cayley import (
     to_complex_model,
 )
 from .derivations import (
+    adjoint_matrix,
     bracket,
     derivation_basis,
     exp_derivation_numeric,
@@ -222,23 +223,19 @@ def check_08_model_agreement() -> str:
 
 def check_09_lie_algebra_integrity() -> str:
     """Structure constants satisfy Jacobi exactly; Killing form negative
-    definite (leading minors); ad-invariance on 100 random triples."""
+    definite (leading minors); ad-invariance on 100 random triples.
+
+    For the antisymmetric bracket, Jacobi is the statement that ad is a
+    Lie homomorphism, ad [D_i, D_j] = [ad D_i, ad D_j], checked on all 91
+    basis pairs."""
     b = derivation_basis()
     c = b.structure_constants
     n = b.dim
+    ad = [adjoint_matrix(d, b) for d in b.basis]
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    total = Fraction(0)
-                    for m in range(n):
-                        if c[j][k][m]:
-                            total += c[j][k][m] * c[i][m][l]
-                        if c[k][i][m]:
-                            total += c[k][i][m] * c[j][m][l]
-                        if c[i][j][m]:
-                            total += c[i][j][m] * c[k][m][l]
-                    assert total == 0, f"Jacobi fails at ({i},{j},{k},{l})"
+            lhs = adjoint_matrix(b.from_coordinates(c[i][j]), b)
+            assert lhs == ad[i] * ad[j] - ad[j] * ad[i], f"Jacobi fails at ({i},{j})"
     gram = b.killing_gram()
     neg = -gram
     for k in range(1, n + 1):

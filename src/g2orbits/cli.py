@@ -33,6 +33,10 @@ TAU_MAX_CHARS = 100
 TAU_MAX_EXPONENT = 100
 _EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)$")
 
+# bound on scan --radius: a census holds about 3R^2 reports in memory, and
+# a run at the bound finishes in under a minute
+SCAN_MAX_RADIUS = 200
+
 
 class _InputError(Exception):
     """Invalid command-line input (exit code 2)."""
@@ -134,8 +138,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.radius < 1:
-        raise _InputError("--radius must be at least 1")
+    if not 1 <= args.radius <= SCAN_MAX_RADIUS:
+        raise _InputError(f"--radius must be between 1 and {SCAN_MAX_RADIUS}, got {args.radius}")
     census = scan(args.radius, convention=args.convention)
     if args.format == "json":
         print(json.dumps(census.to_json_dict(), indent=2))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .derivations import (
-    G2AlgebraBasis,
     SubalgebraSummary,
     adjoint_matrix,
     derivation_basis,
@@ -26,7 +25,7 @@ from .derivations import (
 )
 from .errors import InternalInvariantError
 from .linalg import kernel_basis
-from .roots import TAU_GENERIC, CartanElement, _coerce_cartan, cartan_element, root_system, vanishing_roots
+from .roots import TAU_GENERIC, CartanElement, _coerce_cartan, cartan_element, vanishing_roots
 
 
 class OrbitType(enum.Enum):
@@ -86,16 +85,15 @@ class ClassificationReport:
         }
 
 
-def centralizer(tau, b: G2AlgebraBasis = None):
+def centralizer(tau):
     """Canonical basis of the derivations commuting with cartan_element(tau)."""
-    if b is None:
-        b = derivation_basis()
+    b = derivation_basis()
     kern = kernel_basis(adjoint_matrix(cartan_element(tau), b))
     return tuple(b.from_coordinates(v) for v in kern)
 
 
 @lru_cache
-def _stabilizer(van: tuple, b: G2AlgebraBasis):
+def _stabilizer(van: tuple):
     """(stabilizer_dim, orbit_type, structure) of every tau on which exactly
     the roots van vanish, from the centralizer of one such representative:
     the generic element, zero, or (1,1,1) x a for a pair with coefficients a.
@@ -107,9 +105,9 @@ def _stabilizer(van: tuple, b: G2AlgebraBasis):
     else:
         a1, a2, a3 = van[0].coeffs
         rep = (a3 - a2, a1 - a3, a2 - a1)
-    if vanishing_roots(rep, root_system(b)) != van:
+    if vanishing_roots(rep) != van:
         raise InternalInvariantError(f"no representative for vanishing roots {[r.coeffs for r in van]}")
-    cent = centralizer(rep, b)
+    cent = centralizer(rep)
     dim = len(cent)
     if dim not in (2, 4, 14) or dim != 2 + len(van):
         raise InternalInvariantError(f"stabilizer dimension {dim} with {len(van)} vanishing roots")
@@ -121,11 +119,13 @@ def _stabilizer(van: tuple, b: G2AlgebraBasis):
         raise InternalInvariantError("vanishing root pair of mixed length class")
     else:
         orbit_type = OrbitType.DIM4_SHORT if van[0].length_class == "short" else OrbitType.DIM4_LONG
-    return dim, orbit_type, subalgebra_structure(cent, b)
+    return dim, orbit_type, subalgebra_structure(cent, derivation_basis())
 
 
-def classify(tau, convention: str = CONVENTION_DEFAULT, b: G2AlgebraBasis = None) -> ClassificationReport:
-    """Full orbit-type report for a Cartan element, keyed by its vanishing roots.
+def classify(tau, convention: str = CONVENTION_DEFAULT) -> ClassificationReport:
+    """Full orbit-type report for a Cartan element, keyed by its vanishing
+    roots in root_system(): the stabilizer of each of the 8 vanishing sets
+    is computed once, from the centralizer of one representative.
 
     Raises SumNonzeroError for bad input and InternalInvariantError if the
     stabilizer dimension falls outside {2, 4, 14} (that would contradict
@@ -134,10 +134,8 @@ def classify(tau, convention: str = CONVENTION_DEFAULT, b: G2AlgebraBasis = None
     tau = _coerce_cartan(tau)
     if convention not in _LABELS:
         raise ValueError(f"unknown convention {convention!r}")
-    if b is None:
-        b = derivation_basis()
-    van = vanishing_roots(tau, root_system(b))
-    dim, orbit_type, structure = _stabilizer(van, b)
+    van = vanishing_roots(tau)
+    dim, orbit_type, structure = _stabilizer(van)
     return ClassificationReport(
         tau=tau,
         stabilizer_dim=dim,
@@ -180,12 +178,15 @@ class Census:
             yield f"{t[0]},{t[1]},{t[2]},{rep.stabilizer_dim},{rep.orbit_type.value}"
 
 
-def scan(radius: int, convention: str = CONVENTION_DEFAULT, b: G2AlgebraBasis = None) -> Census:
+def scan(radius: int, convention: str = CONVENTION_DEFAULT) -> Census:
     """Classify every integer triple with zero sum and max |t_i| <= radius.
 
-    Points are enumerated lexicographically in (t1, t2).  Any stabilizer
-    dimension outside {2, 4, 14} raises InternalInvariantError from
-    classify, so every census reports stabilizer_dims_ok as true.
+    Points are enumerated lexicographically in (t1, t2) and each is
+    classified by classify, so a radius of 3 or more fills all 8
+    vanishing-set stabilizers and every further point costs 12 root
+    evaluations.  Any stabilizer dimension outside {2, 4, 14} raises
+    InternalInvariantError from classify, so every census reports
+    stabilizer_dims_ok as true.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -193,7 +194,7 @@ def scan(radius: int, convention: str = CONVENTION_DEFAULT, b: G2AlgebraBasis = 
     reports = []
     for t1 in range(-radius, radius + 1):
         for t2 in range(max(-radius, -radius - t1), min(radius, radius - t1) + 1):
-            rep = classify(CartanElement.of(t1, t2, -t1 - t2), convention, b)
+            rep = classify(CartanElement.of(t1, t2, -t1 - t2), convention)
             counts[rep.orbit_type.name] += 1
             reports.append(rep)
     return Census(radius=radius, counts=counts, reports=tuple(reports))

@@ -19,7 +19,6 @@ from math import isqrt
 
 from .derivations import (
     Derivation,
-    G2AlgebraBasis,
     adjoint_matrix,
     derivation_basis,
     killing_form,
@@ -171,7 +170,11 @@ def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
     return r
 
 
-def _compute_root_system(b: G2AlgebraBasis):
+@lru_cache(maxsize=1)
+def root_system():
+    """All 12 roots of the derivation algebra with exact Killing lengths,
+    sorted by coefficients.  Computed once from derivation_basis()."""
+    b = derivation_basis()
     h_star = cartan_element(CartanElement(TAU_GENERIC))
     ad_star = adjoint_matrix(h_star, b)
     h1, h2 = cartan_basis()
@@ -229,24 +232,10 @@ def _compute_root_system(b: G2AlgebraBasis):
     return roots
 
 
-@lru_cache(maxsize=1)
-def _default_root_system():
-    return _compute_root_system(derivation_basis())
-
-
-def root_system(b: G2AlgebraBasis = None):
-    """All 12 roots with exact Killing lengths, sorted by coefficients."""
-    if b is None or b is derivation_basis():
-        return _default_root_system()
-    return _compute_root_system(b)
-
-
-def vanishing_roots(tau, roots=None):
-    """The roots vanishing on tau (always an even count)."""
+def vanishing_roots(tau):
+    """The roots of root_system() vanishing on tau (always an even count)."""
     tau = _coerce_cartan(tau)
-    if roots is None:
-        roots = root_system()
-    return tuple(r for r in roots if r.value(tau) == 0)
+    return tuple(r for r in root_system() if r.value(tau) == 0)
 
 
 def weyl_reflect(root: Root, tau) -> CartanElement:

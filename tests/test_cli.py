@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from g2orbits import cli
 from g2orbits.cli import main
+from g2orbits.orbits import Census
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,28 @@ class TestScanCommand:
     def test_bad_radius_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--radius", "0")
         assert code == 2
+
+    def test_radius_beyond_bound_exit_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan ran for a radius beyond the bound")
+
+        monkeypatch.setattr(cli, "scan", refuse)
+        code, out, err = run_cli(capsys, "scan", "--radius", str(cli.SCAN_MAX_RADIUS + 1))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(cli.SCAN_MAX_RADIUS) in err
+
+    def test_radius_at_bound_reaches_scan(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(radius, convention):
+            seen.append(radius)
+            return Census(radius=radius, counts={}, reports=())
+
+        monkeypatch.setattr(cli, "scan", stub)
+        code, out, err = run_cli(capsys, "scan", "--radius", str(cli.SCAN_MAX_RADIUS), "--format", "csv")
+        assert code == 0, err
+        assert seen == [cli.SCAN_MAX_RADIUS]
 
 
 class TestTableCommand:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2orbits.cayley import Octonion, gamma1_matrix, gamma_matrix
+from g2orbits.cayley import MULT_TABLE, Octonion, gamma1_matrix, gamma_matrix
 from g2orbits.derivations import (
     Derivation,
     adjoint_matrix,
@@ -19,6 +19,7 @@ from g2orbits.derivations import (
 )
 from g2orbits.errors import NotBracketClosedError, NotInSpanError
 from g2orbits.linalg import Matrix, det, kernel_basis, rank
+from g2orbits.roots import cartan_basis
 
 
 def F(n, d=1):
@@ -27,6 +28,29 @@ def F(n, d=1):
 
 def random_element(b, rng, lo=-3, hi=3):
     return b.from_coordinates([F(rng.randint(lo, hi)) for _ in range(b.dim)])
+
+
+def leibniz_by_products(d):
+    """The product rule on all 64 basis pairs, from octonion products.
+
+    Independent of leibniz_system: it multiplies octonions instead of
+    reading the rule off the 512 linear equations."""
+    images = [d.apply(Octonion.basis(i)) for i in range(8)]
+    basis = [Octonion.basis(i) for i in range(8)]
+    for i in range(8):
+        for j in range(8):
+            k, sign = MULT_TABLE[i][j]
+            lhs = images[k] if sign > 0 else -images[k]
+            if lhs != images[i] * basis[j] + basis[i] * images[j]:
+                return False
+    return True
+
+
+def sign_flipped(d, p, q):
+    """d with the sign of matrix entry (p, q) flipped."""
+    flat = list(d.flat())
+    flat[8 * p + q] = -flat[8 * p + q]
+    return Derivation.from_flat(flat)
 
 
 class TestLeibnizSystem:
@@ -40,6 +64,34 @@ class TestLeibnizSystem:
         assert len(kernel_basis(m)) == 14
 
 
+class TestLeibnizCheck:
+    def test_sign_flipped_generator_rejected(self):
+        h1 = sign_flipped(cartan_basis()[0], 2, 3)
+        assert h1.matrix.entry(2, 3) != 0
+        assert not h1.satisfies_leibniz()
+        assert not leibniz_by_products(h1)
+
+    def test_check_forms_no_octonion_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("satisfies_leibniz multiplied octonions")
+
+        monkeypatch.setattr(Octonion, "__mul__", refuse)
+        assert all(d.satisfies_leibniz() for d in derivation_basis().basis)
+        assert not sign_flipped(cartan_basis()[0], 2, 3).satisfies_leibniz()
+
+
+class TestIntegerFacts:
+    def test_entries_constants_and_gram_are_small_integers(self):
+        # the only entries of magnitude 2 sit on the rows of e_i e_i = -e0
+        assert set(leibniz_system().entries) <= set(range(-2, 3))
+        b = derivation_basis()
+        assert {v for d in b.basis for v in d.flat()} <= {-1, 0, 1}
+        constants = [v for ci in b.structure_constants for cij in ci for v in cij]
+        assert all(F(v).denominator == 1 for v in constants)
+        assert set(constants) <= set(range(-2, 3))
+        assert set(b.killing_gram().entries) <= {-16, -8, 0, 8}
+
+
 class TestBasis:
     def test_dimension(self):
         assert derivation_basis().dim == 14
@@ -47,6 +99,7 @@ class TestBasis:
     def test_every_basis_element_is_a_derivation(self):
         for d in derivation_basis().basis:
             assert d.satisfies_leibniz()
+            assert leibniz_by_products(d)
             assert d.kills_unit()
             assert d.is_skew()
 
@@ -92,8 +145,9 @@ class TestBracket:
         b = derivation_basis()
         rng = random.Random(14)
         for _ in range(5):
-            x, y = random_element(b, rng), random_element(b, rng)
-            assert bracket(x, y).satisfies_leibniz()
+            br = bracket(random_element(b, rng), random_element(b, rng))
+            assert br.satisfies_leibniz()
+            assert leibniz_by_products(br)
 
     def test_structure_constants_antisymmetric(self):
         b = derivation_basis()
@@ -110,6 +164,27 @@ class TestBracket:
             i, j = rng.randrange(14), rng.randrange(14)
             br = bracket(b.basis[i], b.basis[j])
             assert b.coordinates(br) == b.structure_constants[i][j]
+
+
+class TestJacobi:
+    def test_structure_constants_satisfy_jacobi(self):
+        # the index form that check 9's ad-homomorphism test replaces
+        b = derivation_basis()
+        c = b.structure_constants
+        n = b.dim
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    for l in range(n):
+                        total = Fraction(0)
+                        for m in range(n):
+                            if c[j][k][m]:
+                                total += c[j][k][m] * c[i][m][l]
+                            if c[k][i][m]:
+                                total += c[k][i][m] * c[j][m][l]
+                            if c[i][j][m]:
+                                total += c[i][j][m] * c[k][m][l]
+                        assert total == 0, f"Jacobi fails at ({i},{j},{k},{l})"
 
 
 class TestAdjoint:

@@ -232,7 +232,7 @@ def exact_report(tau):
     """(dim, orbit type, structure, vanishing roots) built for this one tau
     from its own centralizer kernel and the root rule."""
     b = derivation_basis()
-    cent = centralizer(tau, b)
+    cent = centralizer(tau)
     van = tuple(r for r in root_system() if r.value(tau) == 0)
     classes = {r.length_class for r in van}
     if len(van) == 12:

@@ -17,6 +17,7 @@ from g2orbits.roots import (
     vanishing_roots,
     weyl_reflect,
 )
+from test_derivations import leibniz_by_products
 
 
 def F(n, d=1):
@@ -53,6 +54,7 @@ class TestCartanBasis:
     def test_generators_are_derivations(self):
         for h in cartan_basis():
             assert h.satisfies_leibniz()
+            assert leibniz_by_products(h)
             assert h.kills_unit()
             assert h.is_skew()
 
