@@ -14,11 +14,16 @@ where <m, n> = sum_i m_i conj(n_i).  The coordinate identification between
 the models and the orientation of the cross product are fixed below; they
 were calibrated once so that both products agree on all 64 basis pairs
 (the agreement is re-verified in the test suite).
+
+An Octonion keeps integer numerators over one common denominator, so the
+doubling product is formed on Python ints and reduced by one gcd; the
+multiplication table is read off that same product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import Matrix, _frac, rank
 
@@ -49,15 +54,38 @@ def _qsub(x, y):
 
 
 class Octonion:
-    """An octonion with 8 exact rational coordinates over e0..e7."""
+    """An octonion with 8 exact rational coordinates over e0..e7.
 
-    __slots__ = ("coords",)
+    It is stored as 8 integer numerators ``num`` over one positive common
+    denominator ``den``, in lowest terms (the gcd of ``den`` and all of
+    ``num`` is 1), so equal octonions have equal fields and all arithmetic
+    runs on Python ints.  ``coords`` returns the 8 coordinates as Fractions.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coords):
         coords = tuple(_frac(c) for c in coords)
         if len(coords) != 8:
             raise ValueError("an octonion needs 8 coordinates")
-        self.coords = coords
+        # over the lcm of the reduced denominators, numerators and
+        # denominator are already coprime
+        den = lcm(*(c.denominator for c in coords))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @classmethod
+    def _reduced(cls, num, den: int) -> "Octonion":
+        """The octonion num/den (den > 0), brought to lowest terms."""
+        g = gcd(den, *num)
+        x = object.__new__(cls)
+        x.num, x.den = tuple(v // g for v in num), den // g
+        return x
+
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.num)
 
     @classmethod
     def zero(cls) -> "Octonion":
@@ -76,47 +104,48 @@ class Octonion:
     def __add__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        return Octonion._reduced([a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __sub__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        return Octonion._reduced([a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __neg__(self):
-        return Octonion(tuple(-a for a in self.coords))
+        return Octonion._reduced([-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            a, b = self.coords[:4], self.coords[4:]
-            c, d = other.coords[:4], other.coords[4:]
+            x, y = self.num, other.num
+            a, b = x[:4], x[4:]
+            c, d = y[:4], y[4:]
             first = _qsub(_qmul(a, c), _qmul(_qconj(d), b))
             second = _qadd(_qmul(b, _qconj(c)), _qmul(d, a))
-            return Octonion(first + second)
+            return Octonion._reduced(first + second, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return Octonion(tuple(a * other for a in self.coords))
+            n = other.numerator
+            return Octonion._reduced([a * n for a in self.num], self.den * other.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Octonion(tuple(other * a for a in self.coords))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def conj(self) -> "Octonion":
         """Conjugation: fixes the e0 coordinate, negates the rest."""
-        c = self.coords
-        return Octonion((c[0],) + tuple(-a for a in c[1:]))
+        c = self.num
+        return Octonion._reduced((c[0],) + tuple(-a for a in c[1:]), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octonion):
             return NotImplemented
-        return self.coords == other.coords
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return "Octonion(%s)" % ", ".join(str(c) for c in self.coords)
@@ -124,7 +153,7 @@ class Octonion:
 
 def inner(x: Octonion, y: Octonion) -> Fraction:
     """Standard inner product making e0..e7 orthonormal."""
-    return sum((a * b for a, b in zip(x.coords, y.coords)), Fraction(0))
+    return Fraction(sum(a * b for a, b in zip(x.num, y.num)), x.den * y.den)
 
 
 def norm(x: Octonion) -> Fraction:
@@ -133,8 +162,8 @@ def norm(x: Octonion) -> Fraction:
 
 def gamma(x: Octonion) -> Octonion:
     """The automorphism a + b*e4 -> a - b*e4 (negates coordinates 4..7)."""
-    c = x.coords
-    return Octonion(c[:4] + tuple(-a for a in c[4:]))
+    c = x.num
+    return Octonion._reduced(c[:4] + tuple(-a for a in c[4:]), x.den)
 
 
 def gamma1(x: Octonion) -> Octonion:
@@ -142,8 +171,7 @@ def gamma1(x: Octonion) -> Octonion:
 
     On real coordinates it fixes e0, e2, e4, e6 and negates e1, e3, e5, e7.
     """
-    c = x.coords
-    return Octonion(tuple(-v if i % 2 else v for i, v in enumerate(c)))
+    return Octonion._reduced([-v if i % 2 else v for i, v in enumerate(x.num)], x.den)
 
 
 def _diag_matrix(signs) -> Matrix:

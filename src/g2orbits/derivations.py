@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
 from .linalg import Matrix, kernel_basis, rank, rref
@@ -49,7 +47,7 @@ class Derivation:
 
     @classmethod
     def zero(cls) -> "Derivation":
-        return cls(Matrix(8, 8, [Fraction(0)] * 64))
+        return cls(Matrix(8, 8, [0] * 64))
 
     def flat(self):
         return self.matrix.entries
@@ -142,7 +140,7 @@ def leibniz_system() -> Matrix:
 
 def _combine(coeffs, rows) -> tuple:
     """The flat vector sum_i coeffs[i] * rows[i]."""
-    out = [Fraction(0)] * 64
+    out = [0] * 64
     for c, row in zip(coeffs, rows):
         if c:
             for idx, r in enumerate(row):
@@ -210,7 +208,7 @@ class G2AlgebraBasis:
         if self._gram is None:
             ads = [adjoint_matrix(d, self) for d in self.basis]
             n = self.dim
-            g = [[Fraction(0)] * n for _ in range(n)]
+            g = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     t = (ads[i] * ads[j]).trace()
@@ -226,13 +224,17 @@ def derivation_basis() -> G2AlgebraBasis:
 
     Deterministic (the kernel basis is canonical) and cached; fails hard
     if the kernel dimension is not 14, which would mean the multiplication
-    table is broken.
+    table is broken.  The basis is kept as ints, so brackets, structure
+    constants, adjoint matrices and the Killing Gram matrix are ints too.
     """
     kern = kernel_basis(leibniz_system())
     if len(kern) != G2_DIM:
         raise InternalInvariantError(
             f"Leibniz kernel has dimension {len(kern)}, expected {G2_DIM}"
         )
+    if any(v.denominator != 1 for row in kern for v in row):
+        raise InternalInvariantError("Leibniz kernel basis is not integral")
+    kern = tuple(tuple(v.numerator for v in row) for row in kern)
     pivots = []
     for row in kern:
         lead = next(idx for idx, v in enumerate(row) if v)
@@ -241,7 +243,7 @@ def derivation_basis() -> G2AlgebraBasis:
 
     n = G2_DIM
     c = [[None] * n for _ in range(n)]
-    zero_row = (Fraction(0),) * n
+    zero_row = (0,) * n
     for i in range(n):
         c[i][i] = zero_row
     for i in range(n):
@@ -264,7 +266,7 @@ def adjoint_matrix(d: Derivation, b: G2AlgebraBasis) -> Matrix:
     """
     coeffs = b.coordinates(d)
     n = b.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     c = b.structure_constants
     for i, ci in enumerate(coeffs):
         if ci:
@@ -278,12 +280,12 @@ def adjoint_matrix(d: Derivation, b: G2AlgebraBasis) -> Matrix:
     return Matrix.from_rows(out)
 
 
-def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis) -> Fraction:
+def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis):
     """Killing form tr(ad x ad y), evaluated bilinearly on the Gram matrix."""
     cx = b.coordinates(x)
     cy = b.coordinates(y)
     g = b.killing_gram()
-    total = Fraction(0)
+    total = 0
     for i, xi in enumerate(cx):
         if xi:
             for j, yj in enumerate(cy):
@@ -366,14 +368,17 @@ def subalgebra_structure(s, b: G2AlgebraBasis) -> SubalgebraSummary:
     return SubalgebraSummary(dim, derived_dim, center_dim, derived_dim == 0)
 
 
-def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16) -> np.ndarray:
-    """Floating-point exp(t d) by scaling and squaring.
+def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16):
+    """Floating-point exp(t d) by scaling and squaring, as an 8x8 numpy
+    array.
 
     Taylor degree ``terms`` (>= 12 by contract) after scaling the matrix
     below norm 1/2; the result is approximately orthogonal and
     approximately an algebra automorphism.  A non-finite t raises
-    ValueError.
+    ValueError.  numpy is imported here, so the exact layers never load it.
     """
+    import numpy as np
+
     if terms < 12:
         raise ValueError("series degree must be at least 12")
     t = float(t)

@@ -8,7 +8,9 @@ picks the first row (top-down) with a nonzero entry in the current column,
 sweeping columns left to right, so equal inputs produce bit-for-bit equal
 outputs.  Kernel bases are returned in a canonical form (the unique
 reduced echelon basis of the null space, leading entry of every vector
-equal to 1).
+equal to 1).  The determinant is fraction-free too: Bareiss elimination
+on the same integer scaling, so an int matrix has an int determinant.
+Products, traces and matrix-vector products of int matrices stay int.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
@@ -92,7 +93,7 @@ class Matrix:
                 if m:
                     term = m * vec[j]
                     acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Fraction(0))
+            out.append(acc if acc is not None else 0)
         return tuple(out)
 
     def __mul__(self, other):
@@ -101,7 +102,7 @@ class Matrix:
                 raise ValueError("inner dimension mismatch")
             n, p = self.cols, other.cols
             a, b = self.entries, other.entries
-            out = [Fraction(0)] * (self.rows * p)
+            out = [0] * (self.rows * p)
             for i in range(self.rows):
                 abase = i * n
                 obase = i * p
@@ -146,10 +147,7 @@ class Matrix:
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        t = Fraction(0)
-        for i in range(self.rows):
-            t = t + self.entries[i * self.cols + i]
-        return t
+        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -342,33 +340,34 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
 
 
 def det(m: Matrix) -> Scalar:
-    """Exact determinant (forward elimination, product of pivots)."""
+    """Exact determinant by Bareiss's fraction-free elimination (1968).
+
+    The matrix is first scaled to integers by the lcm D of its
+    denominators.  Each step a[i][j] <- (a[i][j] a[k][k] - a[i][k] a[k][j])
+    / p divides exactly by the previous pivot p, so every value stays an
+    integer and the last pivot is det(D m) up to the sign of the row swaps;
+    with no swaps the k-th pivot is the k-th leading principal minor.
+    Returns an int, or a Fraction when D > 1.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    rows = m.row_lists()
     n = m.rows
-    sign = 1
-    result = Fraction(1)
+    den = lcm(*(e.denominator for e in m.entries))
+    rows = [[e.numerator * (den // e.denominator) for e in m.row(i)] for i in range(n)]
+    sign = prev = 1
     for c in range(n):
-        hit = -1
-        for i in range(c, n):
-            if rows[i][c]:
-                hit = i
-                break
+        hit = next((i for i in range(c, n) if rows[i][c]), -1)
         if hit < 0:
-            return Fraction(0)
+            return 0
         if hit != c:
             rows[c], rows[hit] = rows[hit], rows[c]
             sign = -sign
-        pv = rows[c][c]
-        result = result * pv
+        prow = rows[c]
+        pv = prow[c]
         for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                fi = f / pv
-                row = rows[i]
-                prow = rows[c]
-                for j in range(c, n):
-                    if prow[j]:
-                        row[j] = row[j] - fi * prow[j]
-    return result if sign > 0 else -result
+            row = rows[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * pv - f * prow[j]) // prev
+        prev = pv
+    return Fraction(sign * prev, den ** n) if den != 1 else sign * prev

@@ -161,7 +161,7 @@ def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
     the root plane where ad(H*)^2 = -v^2; checked on every coordinate."""
     adw = ad.apply(w)
     k = next(i for i, x in enumerate(u) if x)
-    q = adw[k] / u[k]
+    q = Fraction(adw[k], u[k])
     if any(adw[i] != q * u[i] for i in range(len(u))):
         raise InternalInvariantError("root plane vector is not a joint eigenvector")
     r = q * v

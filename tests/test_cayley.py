@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2orbits.cayley import (
     MULT_TABLE,
@@ -29,6 +32,37 @@ def F(n, d=1):
 
 def random_octonion(rng):
     return Octonion([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)])
+
+
+def _quat(x, y):
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def fraction_product(x, y):
+    """The doubling product (a + b e4)(c + d e4) = (ac - conj(d) b) +
+    (b conj(c) + d a) e4 on 8 Fraction coordinates: an oracle that shares
+    no code with the integer-numerator Octonion."""
+    a, b, c, d = x[:4], x[4:], y[:4], y[4:]
+    dbar = (d[0], -d[1], -d[2], -d[3])
+    cbar = (c[0], -c[1], -c[2], -c[3])
+    first = tuple(p - q for p, q in zip(_quat(a, c), _quat(dbar, b)))
+    second = tuple(p + q for p, q in zip(_quat(b, cbar), _quat(d, a)))
+    return first + second
+
+
+NINE_DIGITS = 10**9 - 1
+fractions_9 = st.builds(
+    Fraction, st.integers(-NINE_DIGITS, NINE_DIGITS), st.integers(1, NINE_DIGITS)
+)
+coords_9 = st.lists(fractions_9, min_size=8, max_size=8).map(tuple)
+oracle_settings = settings(max_examples=100, deadline=None, database=None)
 
 
 class TestProduct:
@@ -247,6 +281,57 @@ class TestComplexModel:
             x, y = random_octonion(rng), random_octonion(rng)
             via = from_complex_model(to_complex_model(x) * to_complex_model(y))
             assert via == x * y
+
+
+class TestFractionOracle:
+    @oracle_settings
+    @given(coords_9, coords_9)
+    def test_product_and_inner(self, xs, ys):
+        x, y = Octonion(xs), Octonion(ys)
+        assert (x * y).coords == fraction_product(xs, ys)
+        assert inner(x, y) == sum(a * b for a, b in zip(xs, ys))
+
+    @oracle_settings
+    @given(coords_9)
+    def test_conj_gamma_gamma1(self, xs):
+        x = Octonion(xs)
+        assert x.conj().coords == (xs[0],) + tuple(-v for v in xs[1:])
+        assert gamma(x).coords == xs[:4] + tuple(-v for v in xs[4:])
+        assert gamma1(x).coords == tuple(-v if i % 2 else v for i, v in enumerate(xs))
+
+    @oracle_settings
+    @given(coords_9, coords_9)
+    def test_results_in_lowest_terms(self, xs, ys):
+        x, y = Octonion(xs), Octonion(ys)
+        for z in (x, x * y, x + y, x - y, -x, x * Fraction(7, 3)):
+            assert z.den > 0 and gcd(z.den, *z.num) == 1
+
+
+class TestCanonicalForm:
+    def test_equal_values_equal_and_hash_alike(self):
+        x, y = Octonion([F(2, 4)] * 8), Octonion([F(1, 2)] * 8)
+        assert x == y and hash(x) == hash(y)
+        z = Octonion([1] * 8) * F(1, 2)
+        assert z == x and hash(z) == hash(x)
+        assert x + x == Octonion([1] * 8) and (x + x).den == 1
+
+    def test_difference_with_itself(self):
+        x = Octonion([F(n, 6) for n in range(1, 9)])
+        z = x - x
+        assert z.num == (0,) * 8 and z.den == 1
+        assert z == Octonion.zero() and z.is_zero()
+
+    def test_coords_round_trip(self):
+        xs = (F(1, 2), F(-3), F(0), F(5, 7), F(9, 4), F(-1, 6), F(2), F(1, 3))
+        assert Octonion(xs).coords == xs
+        assert Octonion(["1/2", -3, 0, "5/7", F(9, 4), "-1/6", 2, F(1, 3)]).coords == xs
+        assert all(type(c) is Fraction for c in Octonion([1] * 8).coords)
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            Octonion([1] * 7 + [0.5])
+        with pytest.raises(TypeError):
+            E[1] * 0.5
 
 
 def test_octonion_validation():

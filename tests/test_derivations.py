@@ -91,6 +91,20 @@ class TestIntegerFacts:
         assert set(constants) <= set(range(-2, 3))
         assert set(b.killing_gram().entries) <= {-16, -8, 0, 8}
 
+    def test_lie_layer_stays_int(self):
+        b = derivation_basis()
+        assert all(type(v) is int for d in b.basis for v in d.flat())
+        constants = [v for ci in b.structure_constants for cij in ci for v in cij]
+        assert all(type(v) is int for v in constants)
+        gram = b.killing_gram()
+        assert all(type(v) is int for v in gram.entries)
+        for d in b.basis:
+            assert all(type(v) is int for v in adjoint_matrix(d, b).entries)
+        neg = -gram
+        for k in range(1, b.dim + 1):
+            minor = Matrix(k, k, [neg.entry(i, j) for i in range(k) for j in range(k)])
+            assert type(det(minor)) in (int, Fraction)
+
 
 class TestBasis:
     def test_dimension(self):

@@ -1,6 +1,9 @@
 """Source hygiene that no installed linter covers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,37 @@ def test_detector_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _import_time_modules(source: str):
+    """Top-level names of the modules a module imports when it is itself
+    imported: every import outside a function body."""
+    found = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_detector_sees_a_module_level_import():
+    src = "import numpy as np\nclass A:\n    from scipy import linalg\ndef f():\n    import sympy\n"
+    assert _import_time_modules(src) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_not_imported_at_module_level(path):
+    assert "numpy" not in _import_time_modules(path.read_text())
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    code = "import sys, g2orbits, g2orbits.cli, g2orbits.checks; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -162,3 +162,45 @@ class TestDet:
     def test_row_swap_sign(self):
         a = Matrix.from_rows([[F(0), F(1)], [F(1), F(0)]])
         assert det(a) == -1
+
+    def test_int_matrix_gives_exact_int(self):
+        # a true division here once returned 5.0
+        got = det(Matrix(2, 2, [2, 1, 1, 3]))
+        assert got == 5 and type(got) is int
+
+    def test_large_int_entries_exact(self):
+        # a float pivot ratio once returned 0 here
+        big = 10**20
+        assert det(Matrix(2, 2, [big + 1, big, big, big - 1])) == -1
+
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_random_against_cofactor_expansion(self, kind):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            if kind == "int":
+                entries = [rng.randint(-6, 6) for _ in range(n * n)]
+            else:
+                entries = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n * n)]
+            if rng.random() < 0.3:
+                entries[0] = 0  # a zero first pivot forces a row swap
+            if n > 1 and rng.random() < 0.1:
+                entries[-n:] = entries[:n]  # a repeated row: singular
+            m = Matrix(n, n, entries)
+            got = det(m)
+            assert not isinstance(got, float)
+            assert got == cofactor_det(m.row_lists())
+            if kind == "int":
+                assert type(got) is int
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row: slow but independent."""
+    if not rows:
+        return 1
+    total = 0
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += (-1) ** j * a * cofactor_det(minor)
+    return total
