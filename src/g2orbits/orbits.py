@@ -2,18 +2,24 @@
 
 The centralizer of a Cartan element is the Cartan subalgebra plus the root
 spaces of the roots vanishing on it, so classification is keyed by the
-vanishing roots (8 possible sets), and each set's centralizer is computed
-exactly once.  Its dimension is 14 (zero element), 4 (exactly one root pair
-vanishes) or 2 (generic); anything else aborts with InternalInvariantError.
+vanishing roots (8 possible sets), and each set's stabilizer dimension is
+computed exactly once, from the exact rank of one representative's adjoint
+matrix.  It is 14 (zero element), 4 (exactly one root pair vanishes) or 2
+(generic); anything else aborts with InternalInvariantError.
 The two 4-dimensional cases are distinguished by the Killing length class of
 the vanishing root pair, which is Weyl invariant.  Display labels for the two
 length classes are attached through a naming convention flag, since the
 pairing of labels with length classes is presentation, not mathematics.
+The vanishing roots are found with int dot products (a rational tau is
+cleared to integers first), and a lattice census streams its rows through
+the same memo without holding per-point data.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,8 +30,15 @@ from .derivations import (
     subalgebra_structure,
 )
 from .errors import InternalInvariantError
-from .linalg import kernel_basis
-from .roots import TAU_GENERIC, CartanElement, _coerce_cartan, cartan_element, vanishing_roots
+from .linalg import kernel_basis, rank
+from .roots import (
+    TAU_GENERIC,
+    CartanElement,
+    _coerce_cartan,
+    cartan_element,
+    roots_vanishing_on,
+    vanishing_roots,
+)
 
 
 class OrbitType(enum.Enum):
@@ -92,12 +105,9 @@ def centralizer(tau):
     return tuple(b.from_coordinates(v) for v in kern)
 
 
-@lru_cache
-def _stabilizer(van: tuple):
-    """(stabilizer_dim, orbit_type, structure) of every tau on which exactly
-    the roots van vanish, from the centralizer of one such representative:
-    the generic element, zero, or (1,1,1) x a for a pair with coefficients a.
-    """
+def _representative(van: tuple):
+    """A tau on which exactly the roots van vanish: the generic element,
+    zero, or (1,1,1) x a for a pair with coefficients a."""
     if not van:
         rep = TAU_GENERIC
     elif len(van) == 12:
@@ -107,8 +117,16 @@ def _stabilizer(van: tuple):
         rep = (a3 - a2, a1 - a3, a2 - a1)
     if vanishing_roots(rep) != van:
         raise InternalInvariantError(f"no representative for vanishing roots {[r.coeffs for r in van]}")
-    cent = centralizer(rep)
-    dim = len(cent)
+    return rep
+
+
+@lru_cache
+def _stabilizer(van: tuple):
+    """(stabilizer_dim, orbit_type) of every tau on which exactly the roots
+    van vanish, from the exact rank of the adjoint matrix of one such
+    representative."""
+    b = derivation_basis()
+    dim = b.dim - rank(adjoint_matrix(cartan_element(_representative(van)), b))
     if dim not in (2, 4, 14) or dim != 2 + len(van):
         raise InternalInvariantError(f"stabilizer dimension {dim} with {len(van)} vanishing roots")
     if dim == 14:
@@ -119,13 +137,25 @@ def _stabilizer(van: tuple):
         raise InternalInvariantError("vanishing root pair of mixed length class")
     else:
         orbit_type = OrbitType.DIM4_SHORT if van[0].length_class == "short" else OrbitType.DIM4_LONG
-    return dim, orbit_type, subalgebra_structure(cent, derivation_basis())
+    return dim, orbit_type
+
+
+@lru_cache
+def _structure(van: tuple) -> SubalgebraSummary:
+    """Structure fingerprint of the stabilizer of the vanishing set van.
+
+    Only classify reports it, so a lattice scan, which prints dimensions
+    and types alone, pays for neither the centralizer basis nor its 91
+    brackets for FULL.
+    """
+    return subalgebra_structure(centralizer(_representative(van)), derivation_basis())
 
 
 def classify(tau, convention: str = CONVENTION_DEFAULT) -> ClassificationReport:
     """Full orbit-type report for a Cartan element, keyed by its vanishing
-    roots in root_system(): the stabilizer of each of the 8 vanishing sets
-    is computed once, from the centralizer of one representative.
+    roots in root_system(): the stabilizer dimension and the structure
+    fingerprint of each of the 8 vanishing sets are computed once, from one
+    representative.
 
     Raises SumNonzeroError for bad input and InternalInvariantError if the
     stabilizer dimension falls outside {2, 4, 14} (that would contradict
@@ -135,66 +165,116 @@ def classify(tau, convention: str = CONVENTION_DEFAULT) -> ClassificationReport:
     if convention not in _LABELS:
         raise ValueError(f"unknown convention {convention!r}")
     van = vanishing_roots(tau)
-    dim, orbit_type, structure = _stabilizer(van)
+    dim, orbit_type = _stabilizer(van)
     return ClassificationReport(
         tau=tau,
         stabilizer_dim=dim,
         orbit_type=orbit_type,
         orbit_label=_LABELS[convention][orbit_type],
         vanishing=van,
-        structure=structure,
+        structure=_structure(van),
         convention=convention,
     )
 
 
+def lattice_rows(radius: int):
+    """(t1, t2, t3, stabilizer_dim, orbit_type) for every integer triple
+    with zero sum and max |t_i| <= radius, lexicographic in (t1, t2).
+
+    Each point costs 12 int dot products (roots_vanishing_on) and one
+    lookup in the vanishing-set memo; nothing is held between points.
+    """
+    for t1 in range(-radius, radius + 1):
+        for t2 in range(max(-radius, -radius - t1), min(radius, radius - t1) + 1):
+            t3 = -t1 - t2
+            dim, orbit_type = _stabilizer(roots_vanishing_on(t1, t2, t3))
+            yield t1, t2, t3, dim, orbit_type
+
+
+#: one census entry as json.dumps(..., indent=2) lays it out
+_JSON_ENTRY = """\
+    {
+      "tau": [
+        %d,
+        %d,
+        %d
+      ],
+      "stabilizer_dim": %d,
+      "orbit_type": "%s"
+    }"""
+
+
 @dataclass(frozen=True)
 class Census:
-    """Result of classifying every lattice point of a ball."""
+    """Orbit-type counts over the lattice ball of a radius.
+
+    A census holds no per-point data: its rows, renderings and reports are
+    generated again from lattice_rows(radius) whenever they are asked for,
+    so CSV and JSON stream in constant memory at any radius.
+    """
 
     radius: int
     counts: dict
-    reports: tuple
+    convention: str = CONVENTION_DEFAULT
+
+    @property
+    def reports(self) -> tuple:
+        """The full classify report of every lattice point, in scan order."""
+        return tuple(
+            classify(CartanElement.of(t1, t2, t3), self.convention)
+            for t1, t2, t3, _, _ in lattice_rows(self.radius)
+        )
+
+    def _header(self) -> dict:
+        return {
+            "radius": self.radius,
+            "points": sum(self.counts.values()),
+            "counts": dict(self.counts),
+            "stabilizer_dims_ok": True,
+        }
 
     def to_json_dict(self) -> dict:
         return {
-            "radius": self.radius,
-            "points": len(self.reports),
-            "counts": dict(self.counts),
-            "stabilizer_dims_ok": True,
+            **self._header(),
             "census": [
-                {
-                    "tau": [int(t) for t in rep.tau.tau],
-                    "stabilizer_dim": rep.stabilizer_dim,
-                    "orbit_type": rep.orbit_type.value,
-                }
-                for rep in self.reports
+                {"tau": [t1, t2, t3], "stabilizer_dim": dim, "orbit_type": orbit_type.value}
+                for t1, t2, t3, dim, orbit_type in lattice_rows(self.radius)
             ],
         }
 
+    def json_lines(self):
+        """json.dumps(self.to_json_dict(), indent=2) as whole lines, one
+        census entry per piece: joined by newlines they are that text."""
+        yield json.dumps(self._header(), indent=2)[:-2] + ',\n  "census": ['
+        entries = (
+            _JSON_ENTRY % (t1, t2, t3, dim, orbit_type.value)
+            for t1, t2, t3, dim, orbit_type in lattice_rows(self.radius)
+        )
+        entry = next(entries)  # every ball holds the origin
+        for following in entries:
+            yield entry + ","
+            entry = following
+        yield entry
+        yield "  ]\n}"
+
     def csv_rows(self):
         yield "tau1,tau2,tau3,stabilizer_dim,orbit_type"
-        for rep in self.reports:
-            t = rep.tau.tau
-            yield f"{t[0]},{t[1]},{t[2]},{rep.stabilizer_dim},{rep.orbit_type.value}"
+        for t1, t2, t3, dim, orbit_type in lattice_rows(self.radius):
+            yield f"{t1},{t2},{t3},{dim},{orbit_type.value}"
 
 
 def scan(radius: int, convention: str = CONVENTION_DEFAULT) -> Census:
-    """Classify every integer triple with zero sum and max |t_i| <= radius.
+    """Count the orbit types of every integer triple with zero sum and
+    max |t_i| <= radius, in one pass over lattice_rows(radius).
 
-    Points are enumerated lexicographically in (t1, t2) and each is
-    classified by classify, so a radius of 3 or more fills all 8
-    vanishing-set stabilizers and every further point costs 12 root
-    evaluations.  Any stabilizer dimension outside {2, 4, 14} raises
-    InternalInvariantError from classify, so every census reports
-    stabilizer_dims_ok as true.
+    A radius of 3 or more fills all 8 vanishing-set stabilizers, and every
+    further point costs 12 int dot products.  Any stabilizer dimension
+    outside {2, 4, 14} raises InternalInvariantError from the memo, so
+    every census reports stabilizer_dims_ok as true.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    counts = {t.name: 0 for t in OrbitType}
-    reports = []
-    for t1 in range(-radius, radius + 1):
-        for t2 in range(max(-radius, -radius - t1), min(radius, radius - t1) + 1):
-            rep = classify(CartanElement.of(t1, t2, -t1 - t2), convention)
-            counts[rep.orbit_type.name] += 1
-            reports.append(rep)
-    return Census(radius=radius, counts=counts, reports=tuple(reports))
+    if convention not in _LABELS:
+        raise ValueError(f"unknown convention {convention!r}")
+    tally = Counter(row[4] for row in lattice_rows(radius))
+    return Census(radius=radius, counts={t.name: tally[t] for t in OrbitType}, convention=convention)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .derivations import (
     Derivation,
@@ -232,27 +232,50 @@ def root_system():
     return roots
 
 
+@lru_cache(maxsize=1)
+def _integer_roots():
+    """(a1, a2, a3, root) for each root, read once from root_system()."""
+    return tuple((*r.coeffs, r) for r in root_system())
+
+
+def roots_vanishing_on(t1: int, t2: int, t3: int) -> tuple:
+    """The roots of root_system() vanishing on the integer triple
+    (t1, t2, t3), in root_system() order: plain int dot products with
+    each root's coefficients."""
+    return tuple([r for a, b, c, r in _integer_roots() if a * t1 + b * t2 + c * t3 == 0])
+
+
 def vanishing_roots(tau):
-    """The roots of root_system() vanishing on tau (always an even count)."""
+    """The roots of root_system() vanishing on tau (always an even count).
+
+    A rational tau is first cleared to integers by the lcm of its
+    denominators; the scale is positive and a root vanishes on tau exactly
+    when it vanishes on any positive multiple of it.
+    """
     tau = _coerce_cartan(tau)
-    return tuple(r for r in root_system() if r.value(tau) == 0)
+    scale = lcm(*(t.denominator for t in tau.tau))
+    return roots_vanishing_on(*(t.numerator * (scale // t.denominator) for t in tau.tau))
+
+
+@lru_cache(maxsize=None)
+def _reflection_vector(root: Root) -> tuple:
+    """The tau coordinates of 2 H_r / B(H_r, H_r), with H_r the Killing
+    dual of the root: s_r(tau) = tau - r(tau) * this vector."""
+    rv = (root.value(TAU_H1), root.value(TAU_H2))
+    x = solve(_cartan_gram(), rv)
+    if x is None:
+        raise InternalInvariantError("Killing Gram matrix is singular")
+    scale = 2 / (rv[0] * x[0] + rv[1] * x[1])
+    return tuple(scale * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3))
 
 
 def weyl_reflect(root: Root, tau) -> CartanElement:
     """Reflection of tau in the hyperplane where the root vanishes.
 
     Computed via the Killing form: s_r(H) = H - 2 B(H, H_r)/B(H_r, H_r) H_r
-    with H_r the Killing-dual of the root, expressed in tau coordinates.
+    with H_r the Killing-dual of the root, expressed in tau coordinates;
+    the root's part of it is computed once per root.
     """
     tau = _coerce_cartan(tau)
-    gram = _cartan_gram()
-    rv = (root.value(TAU_H1), root.value(TAU_H2))
-    x = solve(gram, rv)
-    if x is None:
-        raise InternalInvariantError("Killing Gram matrix is singular")
-    denom = rv[0] * x[0] + rv[1] * x[1]
-    coef = 2 * root.value(tau) / denom
-    new = tuple(
-        tau.tau[i] - coef * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3)
-    )
-    return CartanElement(new)
+    v = root.value(tau)
+    return CartanElement(tuple(t - v * w for t, w in zip(tau.tau, _reflection_vector(root))))

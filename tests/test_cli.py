@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2orbits import cli
+from g2orbits import cli, orbits
 from g2orbits.cli import main
 from g2orbits.orbits import Census
 
@@ -143,12 +143,32 @@ class TestScanCommand:
 
         def stub(radius, convention):
             seen.append(radius)
-            return Census(radius=radius, counts={}, reports=())
+            return Census(radius=radius, counts={})
 
         monkeypatch.setattr(cli, "scan", stub)
         code, out, err = run_cli(capsys, "scan", "--radius", str(cli.SCAN_MAX_RADIUS), "--format", "csv")
         assert code == 0, err
         assert seen == [cli.SCAN_MAX_RADIUS]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streams_without_reports(self, capsys, monkeypatch, fmt):
+        argv = ["scan", "--radius", "30", "--format", fmt]
+        code, expected, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("scan built a ClassificationReport")
+
+        monkeypatch.setattr(orbits, "ClassificationReport", no_report)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == expected
+
+    @pytest.mark.parametrize("radius", [1, 2, 9])
+    def test_streamed_json_is_the_dumped_census(self, capsys, radius):
+        code, out, err = run_cli(capsys, "scan", "--radius", str(radius), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(orbits.scan(radius).to_json_dict(), indent=2) + "\n"
 
 
 class TestTableCommand:
@@ -203,6 +223,22 @@ STDOUT_SHA256 = {
     "scan_radius6_csv": (
         ["scan", "--radius", "6", "--format", "csv"],
         "a5688d901db892a9d27127434459d5d88870c6146b263ac7f0d8ef9ce6b484fe",
+    ),
+    "scan_radius6_json": (
+        ["scan", "--radius", "6", "--format", "json"],
+        "fb20bafb03d5317339ebe34950b6eb0a83b05923a0e52439ec6e903010f10692",
+    ),
+    "scan_radius24_csv": (
+        ["scan", "--radius", "24", "--format", "csv"],
+        "6081d3853e9bcb971b9feeb17b7dd5bc2cf4984b239f353065c8b1328e8a8de1",
+    ),
+    "scan_radius24_json": (
+        ["scan", "--radius", "24", "--format", "json"],
+        "39f73d7e0d53ab6e88e67e154f6c33d2a60d99f55a919cf397747b58dcd7c600",
+    ),
+    "scan_radius200_csv": (
+        ["scan", "--radius", "200", "--format", "csv"],
+        "e7f51cab2b1bcc9c24b661869069a2cc7218f7cca00a6e755d7871c36657cc79",
     ),
 }
 

@@ -5,7 +5,7 @@ import pytest
 
 from g2orbits import orbits
 from g2orbits.derivations import bracket, derivation_basis, subalgebra_structure
-from g2orbits.errors import SumNonzeroError
+from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, rank
 from g2orbits.orbits import (
     CONVENTION_DEFAULT,
@@ -205,6 +205,20 @@ class TestScan:
                 counts[classify(image).orbit_type.name] += 1
             assert counts == census.counts
 
+    def test_unknown_convention(self):
+        with pytest.raises(ValueError):
+            scan(2, convention="short=nonsense")
+
+    def test_reports_follow_the_rows_and_convention(self):
+        census = scan(3, convention="short=u1xsp1")
+        rows = list(census.csv_rows())[1:]
+        reports = census.reports
+        assert len(reports) == len(rows)
+        for rep, row in zip(reports, rows):
+            assert rep.convention == "short=u1xsp1"
+            t = rep.tau.tau
+            assert row == f"{t[0]},{t[1]},{t[2]},{rep.stabilizer_dim},{rep.orbit_type.value}"
+
     def test_csv_rows(self):
         census = scan(1)
         rows = list(census.csv_rows())
@@ -283,8 +297,28 @@ class TestVanishingSetMemo:
             raise AssertionError("per-point kernel work in classify")
 
         monkeypatch.setattr(orbits, "kernel_basis", forbidden)
+        monkeypatch.setattr(orbits, "rank", forbidden)
         monkeypatch.setattr(orbits, "subalgebra_structure", forbidden)
         assert scan(12).counts == closed_form_counts(12)
+
+    def test_scan_fills_no_structure(self, monkeypatch):
+        orbits._stabilizer.cache_clear()
+        orbits._structure.cache_clear()
+
+        def forbidden(*args):
+            raise AssertionError("scan built a centralizer basis or its fingerprint")
+
+        monkeypatch.setattr(orbits, "centralizer", forbidden)
+        monkeypatch.setattr(orbits, "subalgebra_structure", forbidden)
+        assert scan(12).counts == closed_form_counts(12)
+        assert orbits._stabilizer.cache_info().currsize == 8
+
+    def test_stabilizer_dimension_off_the_theorem_aborts(self, monkeypatch):
+        orbits._stabilizer.cache_clear()
+        monkeypatch.setattr(orbits, "rank", lambda m: 11)  # dimension 3
+        with pytest.raises(InternalInvariantError, match="stabilizer dimension 3"):
+            scan(1)
+        orbits._stabilizer.cache_clear()
 
 
 def closed_form_counts(radius):
@@ -306,3 +340,23 @@ def test_census_matches_closed_form(radius):
     census = scan(radius)
     assert len(census.reports) == 3 * radius * radius + 3 * radius + 1
     assert census.counts == closed_form_counts(radius)
+
+
+@pytest.mark.parametrize("radius", [24, 100, 200])
+def test_integer_scan_matches_closed_form(radius):
+    counts = scan(radius).counts
+    assert counts == closed_form_counts(radius)
+    assert sum(counts.values()) == 3 * radius * radius + 3 * radius + 1
+
+
+def test_every_scan_row_of_radius_12_matches_oracle():
+    census = scan(12)
+    rows = list(census.csv_rows())[1:]
+    entries = census.to_json_dict()["census"]
+    points = list(lattice_ball(12))
+    assert len(rows) == len(entries) == len(points)
+    for tau, row, entry in zip(points, rows, entries):
+        dim, orbit_type, _, _ = exact_report(tau)
+        t = [int(x) for x in tau.tau]
+        assert row == "%d,%d,%d,%d,%s" % (*t, dim, orbit_type.value)
+        assert entry == {"tau": t, "stabilizer_dim": dim, "orbit_type": orbit_type.value}

@@ -2,18 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2orbits.derivations import adjoint_matrix, bracket, derivation_basis, killing_form
 from g2orbits.errors import SumNonzeroError
-from g2orbits.linalg import Matrix, kernel_basis, rank
+from g2orbits.linalg import Matrix, kernel_basis, rank, solve
 from g2orbits.roots import (
     TAU_H1,
     TAU_H2,
     CartanElement,
+    _cartan_gram,
     canonical_root_coeffs,
     cartan_basis,
     cartan_element,
     root_system,
+    roots_vanishing_on,
     vanishing_roots,
     weyl_reflect,
 )
@@ -28,6 +32,40 @@ def random_cartan(rng):
     t1 = F(rng.randint(-6, 6), rng.randint(1, 4))
     t2 = F(rng.randint(-6, 6), rng.randint(1, 4))
     return CartanElement.of(t1, t2, -t1 - t2)
+
+
+def reflect_by_solve(root, tau):
+    """s_r(tau) with the root's Killing dual solved afresh on every call."""
+    rv = (root.value(TAU_H1), root.value(TAU_H2))
+    x = solve(_cartan_gram(), rv)
+    coef = 2 * root.value(tau) / (rv[0] * x[0] + rv[1] * x[1])
+    return CartanElement(
+        tuple(tau.tau[i] - coef * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3))
+    )
+
+
+def vanishing_by_fractions(tau):
+    return tuple(r for r in root_system() if r.value(tau) == 0)
+
+
+NINE_DIGITS = 10**9 - 1
+fractions_9 = st.builds(F, st.integers(-NINE_DIGITS, NINE_DIGITS), st.integers(1, NINE_DIGITS))
+# small ones too, so that a wrongly cleared generic tau can land on a wall
+rationals = st.one_of(fractions_9, st.builds(F, st.integers(-6, 6), st.integers(1, 12)))
+oracle_settings = settings(max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def rational_taus(draw):
+    """A generic tau, one on a short or a long root's wall, or zero, with
+    9-digit or small numerators and denominators, rescaled and
+    Weyl-reflected."""
+    a, b = draw(rationals), draw(rationals)
+    base = draw(st.sampled_from([(a, b, -a - b), (a, -a, 0), (a, a, -2 * a), (0, 0, 0)]))
+    tau = CartanElement(base).scaled(draw(rationals.filter(bool)))
+    for i in draw(st.lists(st.integers(0, 11), max_size=4)):
+        tau = reflect_by_solve(root_system()[i], tau)
+    return tau
 
 
 class TestCartanElement:
@@ -175,6 +213,28 @@ class TestVanishingRoots:
             if n == 12:
                 assert tau.is_zero()
 
+    @oracle_settings
+    @given(rational_taus())
+    def test_cleared_integers_match_fraction_filter(self, tau):
+        van = vanishing_roots(tau)
+        assert van == vanishing_by_fractions(tau)
+        roots = root_system()
+        assert all(any(r is s for s in roots) for r in van)
+
+    def test_clears_by_the_lcm_of_denominators(self):
+        # denominators 6, 10 and 15: their lcm 30 is none of them
+        values = [F(n, d) for d in (6, 10, 15) for n in (-11, -7, -1, 1, 7, 11)]
+        for a in values:
+            for b in values:
+                tau = CartanElement.of(a, b, -a - b)
+                assert vanishing_roots(tau) == vanishing_by_fractions(tau), tau
+
+    def test_integer_helper_on_lattice(self):
+        for t1 in range(-4, 5):
+            for t2 in range(-4, 5):
+                tau = CartanElement.of(t1, t2, -t1 - t2)
+                assert roots_vanishing_on(t1, t2, -t1 - t2) == vanishing_by_fractions(tau)
+
     def test_pairs_vanish_jointly_only_at_zero(self):
         # any two non-proportional root functionals plus the trace
         # condition force tau = 0 (exact 3x3 rank computation)
@@ -218,6 +278,14 @@ class TestWeylReflections:
             for r in roots:
                 fixed = weyl_reflect(r, tau) == tau
                 assert fixed == (r.value(tau) == 0)
+
+    @oracle_settings
+    @given(rational_taus())
+    def test_matches_solve_and_is_involution(self, tau):
+        for r in root_system():
+            image = weyl_reflect(r, tau)
+            assert image == reflect_by_solve(r, tau)
+            assert weyl_reflect(r, image) == tau
 
     def test_permutes_root_set_preserving_length(self):
         roots = root_system()
