@@ -9,7 +9,6 @@ adjoint orbit type of any Cartan element into the four possible classes.
 
 from .cayley import (
     ComplexModelElement,
-    GaussianRational,
     MULT_TABLE,
     Octonion,
     from_complex_model,
@@ -72,7 +71,6 @@ __all__ = [
     "ComplexModelElement",
     "Derivation",
     "G2AlgebraBasis",
-    "GaussianRational",
     "InternalInvariantError",
     "MULT_TABLE",
     "Matrix",

@@ -15,9 +15,9 @@ the models and the orientation of the cross product are fixed below; they
 were calibrated once so that both products agree on all 64 basis pairs
 (the agreement is re-verified in the test suite).
 
-An Octonion keeps integer numerators over one common denominator, so the
-doubling product is formed on Python ints and reduced by one gcd; the
-multiplication table is read off that same product.
+Elements of both models keep integer numerators over one common
+denominator, so each product is formed on Python ints and reduced by one
+gcd; the multiplication table is read off the doubling product.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import Matrix, _frac, rank
+
+
+# componentwise sum and difference of int tuples (quaternions, complex pairs)
+
+def _add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 # quaternion helpers on 4-tuples, convention e1*e2 = e3 (i j = k)
@@ -45,21 +55,12 @@ def _qconj(x):
     return (x[0], -x[1], -x[2], -x[3])
 
 
-def _qadd(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _qsub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-class Octonion:
-    """An octonion with 8 exact rational coordinates over e0..e7.
-
-    It is stored as 8 integer numerators ``num`` over one positive common
-    denominator ``den``, in lowest terms (the gcd of ``den`` and all of
-    ``num`` is 1), so equal octonions have equal fields and all arithmetic
-    runs on Python ints.  ``coords`` returns the 8 coordinates as Fractions.
+class _IntCoords:
+    """8 exact rational coordinates, stored as 8 integer numerators ``num``
+    over one positive common denominator ``den``, in lowest terms (the gcd
+    of ``den`` and all of ``num`` is 1), so equal elements have equal
+    fields and all arithmetic runs on Python ints.  ``coords`` returns the
+    8 coordinates as Fractions.  Both octonion models are stored this way.
     """
 
     __slots__ = ("num", "den")
@@ -67,7 +68,7 @@ class Octonion:
     def __init__(self, coords):
         coords = tuple(_frac(c) for c in coords)
         if len(coords) != 8:
-            raise ValueError("an octonion needs 8 coordinates")
+            raise ValueError(f"{type(self).__name__} needs 8 coordinates")
         # over the lcm of the reduced denominators, numerators and
         # denominator are already coprime
         den = lcm(*(c.denominator for c in coords))
@@ -75,8 +76,8 @@ class Octonion:
         self.den = den
 
     @classmethod
-    def _reduced(cls, num, den: int) -> "Octonion":
-        """The octonion num/den (den > 0), brought to lowest terms."""
+    def _reduced(cls, num, den: int):
+        """The element num/den (den > 0), brought to lowest terms."""
         g = gcd(den, *num)
         x = object.__new__(cls)
         x.num, x.den = tuple(v // g for v in num), den // g
@@ -86,6 +87,23 @@ class Octonion:
     def coords(self) -> tuple:
         den = self.den
         return tuple(Fraction(v, den) for v in self.num)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(str(c) for c in self.coords))
+
+
+class Octonion(_IntCoords):
+    """An octonion with 8 exact rational coordinates over e0..e7."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Octonion":
@@ -121,8 +139,8 @@ class Octonion:
             x, y = self.num, other.num
             a, b = x[:4], x[4:]
             c, d = y[:4], y[4:]
-            first = _qsub(_qmul(a, c), _qmul(_qconj(d), b))
-            second = _qadd(_qmul(b, _qconj(c)), _qmul(d, a))
+            first = _sub(_qmul(a, c), _qmul(_qconj(d), b))
+            second = _add(_qmul(b, _qconj(c)), _qmul(d, a))
             return Octonion._reduced(first + second, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
@@ -138,17 +156,6 @@ class Octonion:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return "Octonion(%s)" % ", ".join(str(c) for c in self.coords)
 
 
 def inner(x: Octonion, y: Octonion) -> Fraction:
@@ -175,8 +182,7 @@ def gamma1(x: Octonion) -> Octonion:
 
 
 def _diag_matrix(signs) -> Matrix:
-    return Matrix(8, 8, [Fraction(signs[i] if i == j else 0)
-                         for i in range(8) for j in range(8)])
+    return Matrix(8, 8, [signs[i] if i == j else 0 for i in range(8) for j in range(8)])
 
 
 def gamma_matrix() -> Matrix:
@@ -230,134 +236,40 @@ def is_automorphism_matrix(m: Matrix) -> bool:
     return True
 
 
-class GaussianRational:
-    """A complex number re + im*i with exact rational components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Squared modulus re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        # match hash(Fraction) when the value is real so mixed containers work
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        if isinstance(other, GaussianRational):
-            n = other.norm()
-            if not n:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return self * other.conjugate() / n
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self.conjugate() * other / n
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re}, {self.im})"
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+def _cmul(p, q):
+    """Product of two complex numbers held as (re, im) int pairs."""
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
 
 
-class ComplexModelElement:
-    """Element a + m of the complex model: a scalar and a 3-vector over
-    the Gaussian rationals (the complex line spanned by 1 and e1)."""
+def _cconj(p):
+    return (p[0], -p[1])
 
-    __slots__ = ("a", "m")
 
-    def __init__(self, a, m):
-        self.a = a if isinstance(a, GaussianRational) else GaussianRational(a)
-        m = tuple(v if isinstance(v, GaussianRational) else GaussianRational(v) for v in m)
-        if len(m) != 3:
-            raise ValueError("the vector part needs 3 components")
-        self.m = m
+class ComplexModelElement(_IntCoords):
+    """Element a + m of the complex model: a complex scalar a and a complex
+    3-vector m over the complex line spanned by 1 and e1.
+
+    The 8 coordinates are (re a, im a, re m1, im m1, re m2, im m2, re m3,
+    im m3), stored like an Octonion's; the product runs on (re, im) pairs
+    of the numerators.
+    """
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if not isinstance(other, ComplexModelElement):
             return NotImplemented
-        a, m = self.a, self.m
-        b, n = other.a, other.m
-        herm = m[0] * n[0].conjugate() + m[1] * n[1].conjugate() + m[2] * n[2].conjugate()
-        cross = _cross(m, n)
-        bbar = b.conjugate()
-        vec = tuple(a * n[i] + bbar * m[i] - cross[i].conjugate() for i in range(3))
-        return ComplexModelElement(a * b - herm, vec)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexModelElement):
-            return NotImplemented
-        return self.a == other.a and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.a, self.m))
-
-    def __repr__(self) -> str:
-        return f"ComplexModelElement({self.a}, ({self.m[0]}, {self.m[1]}, {self.m[2]}))"
+        x, y = self.num, other.num
+        a, m = x[:2], (x[2:4], x[4:6], x[6:])
+        b, n = y[:2], (y[2:4], y[4:6], y[6:])
+        scalar = _cmul(a, b)
+        for mi, ni in zip(m, n):
+            scalar = _sub(scalar, _cmul(mi, _cconj(ni)))
+        bbar = _cconj(b)
+        vec = ()
+        for mi, ni, ci in zip(m, n, _cross(m, n)):
+            vec += _sub(_add(_cmul(a, ni), _cmul(bbar, mi)), _cconj(ci))
+        return ComplexModelElement._reduced(scalar + vec, self.den * other.den)
 
 
 def _cross(m, n):
@@ -365,10 +277,14 @@ def _cross(m, n):
     # negative of the right-handed convention); with it, e2 * e4 = e6
     # comes out right in the vector part.
     return (
-        m[2] * n[1] - m[1] * n[2],
-        m[0] * n[2] - m[2] * n[0],
-        m[1] * n[0] - m[0] * n[1],
+        _sub(_cmul(m[2], n[1]), _cmul(m[1], n[2])),
+        _sub(_cmul(m[0], n[2]), _cmul(m[2], n[0])),
+        _sub(_cmul(m[1], n[0]), _cmul(m[0], n[1])),
     )
+
+
+def _flip_last(num):
+    return num[:7] + (-num[7],)
 
 
 def to_complex_model(x: Octonion) -> ComplexModelElement:
@@ -376,29 +292,11 @@ def to_complex_model(x: Octonion) -> ComplexModelElement:
 
     The third slot carries e6, e7 with a conjugated sign (m3 = x6 - x7*i)
     because e1*e6 = -e7 in the doubling table: left multiplication by the
-    complex unit must match the i*m3 action.
+    complex unit must match the i*m3 action.  On the stored numerators
+    this is a sign flip of the eighth one.
     """
-    c = x.coords
-    return ComplexModelElement(
-        GaussianRational(c[0], c[1]),
-        (
-            GaussianRational(c[2], c[3]),
-            GaussianRational(c[4], c[5]),
-            GaussianRational(c[6], -c[7]),
-        ),
-    )
+    return ComplexModelElement._reduced(_flip_last(x.num), x.den)
 
 
 def from_complex_model(u: ComplexModelElement) -> Octonion:
-    return Octonion(
-        (
-            u.a.re,
-            u.a.im,
-            u.m[0].re,
-            u.m[0].im,
-            u.m[1].re,
-            u.m[1].im,
-            u.m[2].re,
-            -u.m[2].im,
-        )
-    )
+    return Octonion._reduced(_flip_last(u.num), u.den)

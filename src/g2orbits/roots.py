@@ -23,7 +23,7 @@ from .derivations import (
     derivation_basis,
     killing_form,
 )
-from .errors import InternalInvariantError, SumNonzeroError
+from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
 from .linalg import Matrix, _frac, kernel_basis, solve
 
 #: tau coordinates of the two Cartan generators
@@ -99,15 +99,19 @@ def _rotation_matrix(tau) -> Matrix:
 @lru_cache(maxsize=1)
 def cartan_basis():
     """The two commuting Cartan generators H1 (tau=(1,-1,0)) and H2
-    (tau=(0,1,-1)) as verified derivations."""
+    (tau=(0,1,-1)) as verified derivations: each must lie in the span of
+    derivation_basis(), which is exactly the kernel of the Leibniz system."""
     h1 = Derivation(_rotation_matrix(TAU_H1))
     h2 = Derivation(_rotation_matrix(TAU_H2))
+    b = derivation_basis()
     for h in (h1, h2):
-        if not h.satisfies_leibniz():
+        try:
+            b.coordinates(h)
+        except NotInSpanError:
             raise InternalInvariantError(
                 "Cartan generator fails the Leibniz check; "
                 "sign conventions are out of sync with the product table"
-            )
+            ) from None
     return h1, h2
 
 

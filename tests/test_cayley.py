@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from g2orbits.cayley import (
     MULT_TABLE,
     ComplexModelElement,
-    GaussianRational,
     Octonion,
     from_complex_model,
     gamma,
@@ -193,48 +192,12 @@ class TestGammaMaps:
         assert not is_automorphism_matrix(bad)
 
 
-class TestGaussianRational:
-    def test_arithmetic(self):
-        a = GaussianRational(F(1, 2), F(3))
-        b = GaussianRational(F(2), F(-1, 2))
-        assert a + b == GaussianRational(F(5, 2), F(5, 2))
-        assert a - b == GaussianRational(F(-3, 2), F(7, 2))
-        # (1/2 + 3i)(2 - i/2) = 1 - i/4 + 6i - 3i^2/2 = 5/2 + 23i/4
-        assert a * b == GaussianRational(F(5, 2), F(23, 4))
-
-    def test_division_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            a = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
-            b = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
-            if not b:
-                continue
-            assert (a / b) * b == a
-
-    def test_mixed_scalars(self):
-        a = GaussianRational(2, 3)
-        assert a + 1 == GaussianRational(3, 3)
-        assert 1 + a == GaussianRational(3, 3)
-        assert Fraction(1, 2) * a == GaussianRational(1, F(3, 2))
-        assert a == a.conjugate().conjugate()
-        assert GaussianRational(5) == 5
-        assert GaussianRational(5) == Fraction(5)
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(1) / GaussianRational(0)
-
-    def test_norm(self):
-        assert GaussianRational(3, 4).norm() == 25
-
-
 class TestComplexModel:
     def test_basis_decomposition(self):
-        u = to_complex_model(E[0])
-        assert u.a == GaussianRational(1) and not any(u.m)
-        u = to_complex_model(E[2])
-        assert u.a == GaussianRational(0)
-        assert u.m == (GaussianRational(1), GaussianRational(0), GaussianRational(0))
+        # coordinates (re a, im a, re m1, im m1, re m2, im m2, re m3, im m3)
+        assert to_complex_model(E[0]).coords == (1, 0, 0, 0, 0, 0, 0, 0)  # a = 1, m = 0
+        assert to_complex_model(E[2]).coords == (0, 0, 1, 0, 0, 0, 0, 0)  # a = 0, m = (1, 0, 0)
+        assert to_complex_model(E[7]).coords == (0, 0, 0, 0, 0, 0, 0, -1)  # m3 = x6 - x7*i
 
     def test_roundtrip_basis(self):
         for i in range(8):
@@ -254,19 +217,18 @@ class TestComplexModel:
 
     def test_hermitian_term(self):
         # parallel unit vectors: scalar part is -<m, n> = -1
-        m = (GaussianRational(1), GaussianRational(0), GaussianRational(0))
-        u = ComplexModelElement(GaussianRational(0), m)
+        u = ComplexModelElement((0, 0, 1, 0, 0, 0, 0, 0))
         p = u * u
-        assert p.a == GaussianRational(-1)
-        assert not any(p.m)
+        assert p.coords[:2] == (-1, 0)
+        assert not any(p.coords[2:])
 
     def test_cross_orientation(self):
         # (1,0,0) x (0,1,0) slot: e2 * e4 = e6 forces the sign
-        u = ComplexModelElement(0, (1, 0, 0))
-        v = ComplexModelElement(0, (0, 1, 0))
+        u = ComplexModelElement((0, 0, 1, 0, 0, 0, 0, 0))
+        v = ComplexModelElement((0, 0, 0, 0, 1, 0, 0, 0))
         p = u * v
-        assert p.a == GaussianRational(0)
-        assert p.m == (GaussianRational(0), GaussianRational(0), GaussianRational(1))
+        assert p.coords[:2] == (0, 0)
+        assert p.coords[2:] == (0, 0, 0, 0, 1, 0)  # m = (0, 0, 1)
         assert from_complex_model(p) == E[6]
 
     def test_model_agreement_all_pairs(self):
@@ -281,6 +243,17 @@ class TestComplexModel:
             x, y = random_octonion(rng), random_octonion(rng)
             via = from_complex_model(to_complex_model(x) * to_complex_model(y))
             assert via == x * y
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            ComplexModelElement([1] * 7 + [0.5])
+        with pytest.raises(ValueError):
+            ComplexModelElement([1] * 6)
+
+    def test_models_never_compare_equal(self):
+        # same numerators, different algebras
+        assert to_complex_model(E[0]) != E[0]
+        assert to_complex_model(E[0]) == ComplexModelElement(E[0].coords)
 
 
 class TestFractionOracle:
@@ -298,6 +271,17 @@ class TestFractionOracle:
         assert x.conj().coords == (xs[0],) + tuple(-v for v in xs[1:])
         assert gamma(x).coords == xs[:4] + tuple(-v for v in xs[4:])
         assert gamma1(x).coords == tuple(-v if i % 2 else v for i, v in enumerate(xs))
+
+    @oracle_settings
+    @given(coords_9, coords_9)
+    def test_complex_model_product(self, xs, ys):
+        x, y = Octonion(xs), Octonion(ys)
+        cx, cy = to_complex_model(x), to_complex_model(y)
+        assert cx.coords == xs[:7] + (-xs[7],)
+        assert from_complex_model(cx) == x
+        assert from_complex_model(cx * cy).coords == fraction_product(xs, ys)
+        for z in (cx, cy, cx * cy):
+            assert z.den > 0 and gcd(z.den, *z.num) == 1
 
     @oracle_settings
     @given(coords_9, coords_9)

@@ -69,3 +69,11 @@ def test_importing_the_package_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_every_export_resolves_once():
+    import g2orbits
+
+    missing = [name for name in g2orbits.__all__ if not hasattr(g2orbits, name)]
+    doubled = sorted({name for name in g2orbits.__all__ if g2orbits.__all__.count(name) > 1})
+    assert (missing, doubled) == ([], [])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2orbits.derivations import adjoint_matrix, bracket, derivation_basis, killing_form
-from g2orbits.errors import SumNonzeroError
+from g2orbits import roots
+from g2orbits.derivations import Derivation, adjoint_matrix, bracket, derivation_basis, killing_form
+from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, kernel_basis, rank, solve
 from g2orbits.roots import (
     TAU_H1,
@@ -111,6 +112,35 @@ class TestCartanBasis:
         stacked = Matrix.from_rows(a1.row_lists() + a2.row_lists())
         kern = kernel_basis(stacked)
         assert len(kern) == 2
+
+    def test_sign_slip_in_a_generator_aborts(self, monkeypatch):
+        rotation = roots._rotation_matrix
+
+        def slipped(tau):
+            rows = rotation(tau).row_lists()
+            rows[3][2] = -rows[3][2]  # the (e2, e3) block is no longer skew
+            return Matrix.from_rows(rows)
+
+        monkeypatch.setattr(roots, "_rotation_matrix", slipped)
+        cartan_basis.cache_clear()
+        try:
+            with pytest.raises(InternalInvariantError, match="fails the Leibniz check"):
+                cartan_basis()
+        finally:
+            cartan_basis.cache_clear()
+
+    def test_membership_is_read_off_the_derivation_basis(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("cartan_basis re-ran the Leibniz equations")
+
+        monkeypatch.setattr(Derivation, "satisfies_leibniz", forbidden)
+        cartan_basis.cache_clear()
+        try:
+            h1, h2 = cartan_basis()
+        finally:
+            cartan_basis.cache_clear()
+        assert h1 == cartan_element(CartanElement(TAU_H1))
+        assert h2 == cartan_element(CartanElement(TAU_H2))
 
 
 class TestCartanSubalgebraStructure:
