@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
@@ -138,26 +139,31 @@ def leibniz_system() -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def _combine(coeffs, rows) -> tuple:
-    """The flat vector sum_i coeffs[i] * rows[i]."""
-    out = [0] * 64
+def _nonzeros(rows) -> tuple:
+    """Each row as its (index, entry) pairs with a nonzero entry."""
+    return tuple(tuple((idx, r) for idx, r in enumerate(row) if r) for row in rows)
+
+
+def _combine(coeffs, rows, n) -> tuple:
+    """The length-n vector sum_i coeffs[i] * rows[i], rows given by
+    :func:`_nonzeros`."""
+    out = [0] * n
     for c, row in zip(coeffs, rows):
         if c:
-            for idx, r in enumerate(row):
-                if r:
-                    out[idx] += c * r
+            for idx, r in row:
+                out[idx] += c * r
     return tuple(out)
 
 
 def _read_off(vec, rows, pivots):
-    """Coordinates of vec in reduced echelon rows, or None if vec is not in
-    their span.
+    """Coordinates of vec in reduced echelon rows (given by
+    :func:`_nonzeros`), or None if vec is not in their span.
 
     The coordinates are read off at the pivot positions and then verified
     by exact reconstruction.
     """
     coeffs = tuple(vec[p] for p in pivots)
-    return coeffs if _combine(coeffs, rows) == tuple(vec) else None
+    return coeffs if _combine(coeffs, rows, len(vec)) == tuple(vec) else None
 
 
 @dataclass(frozen=True)
@@ -178,13 +184,13 @@ class G2AlgebraBasis:
     [D_i, D_j] = sum_k c[i][j][k] D_k exactly.
     """
 
-    __slots__ = ("basis", "structure_constants", "_pivots", "_flat_rows", "_gram")
+    __slots__ = ("basis", "structure_constants", "_pivots", "_rows", "_gram")
 
     def __init__(self, basis, structure_constants, pivots):
         self.basis = tuple(basis)
         self.structure_constants = structure_constants
         self._pivots = tuple(pivots)
-        self._flat_rows = tuple(d.flat() for d in self.basis)
+        self._rows = _nonzeros(d.flat() for d in self.basis)
         self._gram = None
 
     @property
@@ -193,7 +199,7 @@ class G2AlgebraBasis:
 
     def coordinates(self, d: Derivation):
         """Exact coordinates of d in this basis; NotInSpanError otherwise."""
-        coeffs = _read_off(d.flat(), self._flat_rows, self._pivots)
+        coeffs = _read_off(d.flat(), self._rows, self._pivots)
         if coeffs is None:
             raise NotInSpanError("derivation is not in the span of the basis")
         return coeffs
@@ -201,7 +207,7 @@ class G2AlgebraBasis:
     def from_coordinates(self, coeffs) -> Derivation:
         if len(coeffs) != self.dim:
             raise ValueError("coordinate length mismatch")
-        return Derivation.from_flat(_combine(coeffs, self._flat_rows))
+        return Derivation.from_flat(_combine(coeffs, self._rows, 64))
 
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form on the basis (symmetric)."""
@@ -240,6 +246,7 @@ def derivation_basis() -> G2AlgebraBasis:
         lead = next(idx for idx, v in enumerate(row) if v)
         pivots.append(lead)
     basis = [Derivation.from_flat(v) for v in kern]
+    sparse = _nonzeros(kern)
 
     n = G2_DIM
     c = [[None] * n for _ in range(n)]
@@ -248,7 +255,7 @@ def derivation_basis() -> G2AlgebraBasis:
         c[i][i] = zero_row
     for i in range(n):
         for j in range(i + 1, n):
-            cij = _read_off(bracket(basis[i], basis[j]).flat(), kern, pivots)
+            cij = _read_off(bracket(basis[i], basis[j]).flat(), sparse, pivots)
             if cij is None:
                 raise InternalInvariantError("bracket left the derivation algebra")
             c[i][j] = cij
@@ -328,73 +335,100 @@ def stabilizer_subalgebra(x: Octonion, b: G2AlgebraBasis):
     return tuple(b.from_coordinates(v) for v in kern)
 
 
-def _span_rows(flats):
-    """Reduced echelon basis of the row span of the given flat vectors."""
-    m = Matrix.from_rows(flats)
-    red, pivots = rref(m)
-    return [red.row(i) for i in range(len(pivots))], pivots
+def _bracket_coordinates(x, y, c) -> tuple:
+    """Coordinates of [x, y] from the nonzero coordinates of x and y (as
+    given by :func:`_nonzeros`): the bilinear form sum_ij x_i y_j c[i][j]
+    of the structure constants c."""
+    out = [0] * len(c)
+    for i, xi in x:
+        ci = c[i]
+        for j, yj in y:
+            t = xi * yj
+            for k, v in enumerate(ci[j]):
+                if v:
+                    out[k] += t * v
+    return tuple(out)
 
 
 def subalgebra_structure(s, b: G2AlgebraBasis) -> SubalgebraSummary:
     """Fingerprint {dim, derived_dim, center_dim, is_abelian} of a
     bracket-closed collection of derivations.
 
-    Raises NotBracketClosedError if some bracket leaves the span of s.
+    Works in the coordinates of b: the span of s is reduced as 14-vectors
+    and every bracket is read from the structure constants of b, so no
+    8x8 matrix is formed.  Raises NotInSpanError if an element of s lies
+    outside the span of b (the Leibniz kernel, for the canonical basis),
+    and NotBracketClosedError if some bracket leaves the span of s.
     """
-    rows, pivots = _span_rows([d.flat() for d in s])
-    dim = len(rows)
+    red, pivots = rref(Matrix.from_rows([b.coordinates(d) for d in s]))
+    dim = len(pivots)
     if dim == 0:
         return SubalgebraSummary(0, 0, 0, True)
-    red = [Derivation.from_flat(r) for r in rows]
+    # the reduced echelon basis of the span, integral entries as ints so
+    # that most bracket arithmetic below stays on ints
+    rows = _nonzeros(
+        [v.numerator if v.denominator == 1 else v for v in red.row(i)] for i in range(dim)
+    )
+    c = b.structure_constants
 
-    pair_brackets = {(i, i): Derivation.zero() for i in range(dim)}
+    zero = (0,) * b.dim
+    pair_brackets = {(i, i): zero for i in range(dim)}
     for i in range(dim):
         for j in range(i + 1, dim):
-            br = bracket(red[i], red[j])
-            if _read_off(br.flat(), rows, pivots) is None:
+            br = _bracket_coordinates(rows[i], rows[j], c)
+            if _read_off(br, rows, pivots) is None:
                 raise NotBracketClosedError(
                     "bracket of subalgebra elements leaves the span"
                 )
             pair_brackets[i, j] = br
-            pair_brackets[j, i] = -br
+            pair_brackets[j, i] = tuple(-v for v in br)
 
-    nonzero = [br.flat() for (i, j), br in pair_brackets.items() if i < j and not br.is_zero()]
+    nonzero = [br for (i, j), br in pair_brackets.items() if i < j and any(br)]
     derived_dim = rank(Matrix.from_rows(nonzero)) if nonzero else 0
 
-    # centralizer of the subalgebra inside itself: x = sum c_i red_i with
-    # [x, red_j] = 0 for all j, so red_i maps to its brackets with every red_j
-    images = [[v for j in range(dim) for v in pair_brackets[i, j].flat()] for i in range(dim)]
+    # centralizer of the subalgebra inside itself: x = sum c_i rows_i with
+    # [x, rows_j] = 0 for all j, so rows_i maps to its brackets with every rows_j
+    images = [[v for j in range(dim) for v in pair_brackets[i, j]] for i in range(dim)]
     center_dim = len(_kernel_of_images(images))
     return SubalgebraSummary(dim, derived_dim, center_dim, derived_dim == 0)
 
 
+def _matmul(a, b):
+    """Product of two float matrices given as row tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16):
-    """Floating-point exp(t d) by scaling and squaring, as an 8x8 numpy
-    array.
+    """Floating-point exp(t d) by scaling and squaring, in plain floats.
 
-    Taylor degree ``terms`` (>= 12 by contract) after scaling the matrix
-    below norm 1/2; the result is approximately orthogonal and
+    Returns the 8x8 result as a tuple of 8 row tuples of floats.  The
+    matrix t d is halved until its row-sum norm is at most 1/2, the Taylor
+    series of degree ``terms`` (>= 12 by contract) runs by Horner's rule,
+    and the result is squared back; it is approximately orthogonal and
     approximately an algebra automorphism.  A non-finite t raises
-    ValueError.  numpy is imported here, so the exact layers never load it.
+    ValueError.
     """
-    import numpy as np
-
     if terms < 12:
         raise ValueError("series degree must be at least 12")
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    a = np.array([[float(x) for x in d.matrix.row(i)] for i in range(8)]) * t
-    nrm = float(np.abs(a).sum(axis=1).max())
+    a = [[float(x) * t for x in d.matrix.row(i)] for i in range(8)]
+    nrm = max(sum(abs(v) for v in row) for row in a)
     squarings = 0
     while nrm > 0.5:
         nrm /= 2.0
         squarings += 1
-    m = a / (2.0 ** squarings)
-    eye = np.eye(8)
-    p = np.eye(8)
+    scale = 2.0 ** squarings
+    m = [[v / scale for v in row] for row in a]
+    eye = tuple(tuple(float(i == j) for j in range(8)) for i in range(8))
+    p = eye
     for k in range(terms, 0, -1):
-        p = eye + (m @ p) / k
+        p = tuple(
+            tuple(e + v / k for e, v in zip(erow, row))
+            for erow, row in zip(eye, _matmul(m, p))
+        )
     for _ in range(squarings):
-        p = p @ p
+        p = _matmul(p, p)
     return p

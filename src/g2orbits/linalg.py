@@ -257,15 +257,27 @@ def _as_int_rows(rows) -> list:
 
 def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
     """RREF of a list of rational rows, returned as Fraction rows (zero
-    rows last) with the pivot columns."""
+    rows last) with the pivot columns.
+
+    Zero rows and rows that repeat an earlier row up to a scalar do not
+    change the row space, so only the distinct rows are eliminated: the
+    gcd and sign normalisation of each integer row is its key.  The
+    output is padded back to the input's row count.
+    """
     irows = _as_int_rows(rows)
-    pivots = _rref_int(irows)
+    distinct = {}
+    for row in irows:
+        _normalize_int_row(row)
+        if any(row):
+            distinct.setdefault(tuple(row), row)
+    work = list(distinct.values())
+    pivots = _rref_int(work)
     ncols = len(irows[0]) if irows else 0
     zero = Fraction(0)
     out = []
     for ridx, c in enumerate(pivots):
-        pv = irows[ridx][c]
-        out.append([Fraction(v, pv) if v else zero for v in irows[ridx]])
+        pv = work[ridx][c]
+        out.append([Fraction(v, pv) if v else zero for v in work[ridx]])
     for _ in range(len(irows) - len(pivots)):
         out.append([zero] * ncols)
     return out, pivots

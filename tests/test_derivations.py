@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from g2orbits import linalg
 from g2orbits.cayley import MULT_TABLE, Octonion, gamma1_matrix, gamma_matrix
 from g2orbits.derivations import (
     Derivation,
+    SubalgebraSummary,
     adjoint_matrix,
     bracket,
     derivation_basis,
@@ -18,8 +20,9 @@ from g2orbits.derivations import (
     subalgebra_structure,
 )
 from g2orbits.errors import NotBracketClosedError, NotInSpanError
-from g2orbits.linalg import Matrix, det, kernel_basis, rank
-from g2orbits.roots import cartan_basis
+from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref
+from g2orbits.orbits import centralizer
+from g2orbits.roots import cartan_basis, vanishing_roots
 
 
 def F(n, d=1):
@@ -46,6 +49,82 @@ def leibniz_by_products(d):
     return True
 
 
+def structure_by_matrices(s):
+    """The fingerprint from brackets of 8x8 matrices: the form
+    subalgebra_structure had before it moved to the coordinates of the
+    basis.  Raises NotBracketClosedError like it."""
+    red, pivots = rref(Matrix.from_rows([d.flat() for d in s]))
+    rows = [red.row(i) for i in range(len(pivots))]
+    dim = len(rows)
+    if dim == 0:
+        return SubalgebraSummary(0, 0, 0, True)
+    mats = [Derivation.from_flat(r) for r in rows]
+
+    def in_span(vec):
+        coeffs = [vec[p] for p in pivots]
+        return all(sum(c * r[k] for c, r in zip(coeffs, rows)) == vec[k] for k in range(64))
+
+    pair_brackets = {(i, i): Derivation.zero() for i in range(dim)}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            br = bracket(mats[i], mats[j])
+            if not in_span(br.flat()):
+                raise NotBracketClosedError("bracket of subalgebra elements leaves the span")
+            pair_brackets[i, j] = br
+            pair_brackets[j, i] = -br
+    nonzero = [br.flat() for (i, j), br in pair_brackets.items() if i < j and not br.is_zero()]
+    derived_dim = rank(Matrix.from_rows(nonzero)) if nonzero else 0
+    # the centre: coefficient vectors c with sum_i c_i [mats_i, mats_j] = 0 for every j
+    images = [[v for j in range(dim) for v in pair_brackets[i, j].flat()] for i in range(dim)]
+    system = Matrix(len(images[0]), dim, [v[r] for r in range(len(images[0])) for v in images])
+    center_dim = len(kernel_basis(system))
+    return SubalgebraSummary(dim, derived_dim, center_dim, derived_dim == 0)
+
+
+def exp_by_numpy(d, t, terms=16):
+    """exp(t d) by scaling and squaring on numpy arrays: the form
+    exp_derivation_numeric had before it moved to plain floats."""
+    a = np.array([[float(x) for x in d.matrix.row(i)] for i in range(8)]) * float(t)
+    nrm = float(np.abs(a).sum(axis=1).max())
+    squarings = 0
+    while nrm > 0.5:
+        nrm /= 2.0
+        squarings += 1
+    m = a / (2.0 ** squarings)
+    eye = np.eye(8)
+    p = np.eye(8)
+    for k in range(terms, 0, -1):
+        p = eye + (m @ p) / k
+    for _ in range(squarings):
+        p = p @ p
+    return p
+
+
+def check_11_draws():
+    """The 20 (derivation, time) pairs that check 11 draws, in order."""
+    b = derivation_basis()
+    rng = random.Random(1618)
+    draws = []
+    for _ in range(20):
+        d = b.from_coordinates([rng.randint(-2, 2) for _ in range(b.dim)])
+        t = rng.uniform(-2.0, 2.0)
+        for _ in range(16):  # the two test octonions
+            rng.uniform(-1, 1)
+        draws.append((d, t))
+    return draws
+
+
+def one_centralizer_per_vanishing_set():
+    """The centralizer of one lattice point for each of the 8 vanishing sets."""
+    by_set = {}
+    for t1 in range(-3, 4):
+        for t2 in range(-3, 4):
+            tau = (t1, t2, -t1 - t2)
+            by_set.setdefault(vanishing_roots(tau), tau)
+    assert len(by_set) == 8
+    return [centralizer(tau) for tau in by_set.values()]
+
+
 def sign_flipped(d, p, q):
     """d with the sign of matrix entry (p, q) flipped."""
     flat = list(d.flat())
@@ -62,6 +141,19 @@ class TestLeibnizSystem:
         m = leibniz_system()
         assert rank(m) == 50
         assert len(kernel_basis(m)) == 14
+
+    def test_kernel_eliminates_each_distinct_row_once(self, monkeypatch):
+        # 113 of the 512 equations are distinct up to a scalar and nonzero
+        sizes = []
+        core = linalg._rref_int
+
+        def counting(rows):
+            sizes.append(len(rows))
+            return core(rows)
+
+        monkeypatch.setattr(linalg, "_rref_int", counting)
+        assert len(kernel_basis(leibniz_system())) == 14
+        assert sizes[0] == 113
 
 
 class TestLeibnizCheck:
@@ -330,6 +422,30 @@ class TestSubalgebraStructure:
         s = subalgebra_structure((), b)
         assert (s.dim, s.derived_dim, s.center_dim, s.is_abelian) == (0, 0, 0, True)
 
+    def test_matches_the_matrix_form(self):
+        b = derivation_basis()
+        inputs = one_centralizer_per_vanishing_set() + [
+            fixed_subalgebra(gamma_matrix(), b),
+            fixed_subalgebra(gamma1_matrix(), b),
+            stabilizer_subalgebra(Octonion.basis(1), b),
+            cartan_basis(),
+            b.basis,
+            (),
+        ]
+        for s in inputs:
+            assert subalgebra_structure(s, b) == structure_by_matrices(s)
+
+    def test_not_closed_raises_in_the_matrix_form_too(self):
+        b = derivation_basis()
+        with pytest.raises(NotBracketClosedError):
+            structure_by_matrices(b.basis[:1] + b.basis[3:4])
+
+    def test_element_outside_the_kernel_raises(self):
+        b = derivation_basis()
+        stray = sign_flipped(cartan_basis()[0], 2, 3)
+        with pytest.raises(NotInSpanError):
+            subalgebra_structure(cartan_basis()[1:] + (stray,), b)
+
 
 class TestExpNumeric:
     def test_zero_derivation_gives_identity(self):
@@ -342,15 +458,32 @@ class TestExpNumeric:
         for _ in range(10):
             d = b.basis[rng.randrange(14)]
             t = rng.uniform(-2, 2)
-            a = exp_derivation_numeric(d, t)
+            a = np.array(exp_derivation_numeric(d, t))
             assert np.abs(a.T @ a - np.eye(8)).max() < 1e-9
 
     def test_additivity_in_t(self):
         b = derivation_basis()
         d = b.basis[0]
-        a1 = exp_derivation_numeric(d, 0.7)
-        a2 = exp_derivation_numeric(d, -0.7)
+        a1 = np.array(exp_derivation_numeric(d, 0.7))
+        a2 = np.array(exp_derivation_numeric(d, -0.7))
         assert np.abs(a1 @ a2 - np.eye(8)).max() < 1e-9
+
+    def test_returns_row_tuples_of_floats(self):
+        a = exp_derivation_numeric(derivation_basis().basis[0], 0.7)
+        assert type(a) is tuple and len(a) == 8
+        assert all(type(row) is tuple and len(row) == 8 for row in a)
+        assert all(type(v) is float for row in a for v in row)
+
+    def test_agrees_with_numpy_on_check_11_draws(self):
+        for d, t in check_11_draws():
+            gap = np.abs(np.array(exp_derivation_numeric(d, t)) - exp_by_numpy(d, t)).max()
+            assert gap < 1e-12, (t, gap)
+
+    @pytest.mark.parametrize("t", [-2.0, -0.7, 0.7, 2.0])
+    def test_agrees_with_numpy_on_the_basis(self, t):
+        for d in derivation_basis().basis:
+            gap = np.abs(np.array(exp_derivation_numeric(d, t)) - exp_by_numpy(d, t)).max()
+            assert gap < 1e-12, gap
 
     def test_degree_floor(self):
         with pytest.raises(ValueError):

@@ -64,11 +64,44 @@ def test_numpy_not_imported_at_module_level(path):
     assert "numpy" not in _import_time_modules(path.read_text())
 
 
-def test_importing_the_package_leaves_numpy_unloaded():
-    code = "import sys, g2orbits, g2orbits.cli, g2orbits.checks; print('numpy' in sys.modules)"
+def _imported_modules(source: str):
+    """Top-level names of every module a module imports anywhere, function
+    bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_detector_sees_an_import_in_a_function_body():
+    src = "import os\ndef f():\n    import numpy as np\n    from numpy.linalg import norm\n"
+    assert _imported_modules(src) == {"os", "numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_not_imported_anywhere(path):
+    assert "numpy" not in _imported_modules(path.read_text())
+
+
+def _numpy_loaded_after(code: str) -> bool:
+    """Run code in a fresh interpreter with the package on the path and
+    report whether numpy ended up in sys.modules."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = f"import sys\n{code}\nprint('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_running_every_check_leaves_numpy_unloaded():
+    code = "import g2orbits.checks\ng2orbits.checks.run_all(out=lambda line: None)"
+    assert not _numpy_loaded_after(code)
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    assert not _numpy_loaded_after("import g2orbits, g2orbits.cli, g2orbits.checks")
 
 
 def test_every_export_resolves_once():

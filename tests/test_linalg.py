@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref, solve
 
@@ -124,6 +126,41 @@ class TestRowScaling:
             assert solve(scaled, scaled_rhs) == x
             if x is not None:
                 assert a.apply(x) == rhs
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """An int matrix, and the same matrix with zero rows and rescaled
+    copies of its rows inserted anywhere."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=m, max_size=m))
+    padded = [list(r) for r in rows]
+    scalars = st.sampled_from([0, 1, -1, 2, -3, F(1, 2), F(-5, 7)])
+    extras = draw(st.lists(st.tuples(st.integers(0, m - 1), scalars, st.integers(0, 20)), max_size=8))
+    for src, c, pos in extras:
+        padded.insert(pos % (len(padded) + 1), [c * x for x in rows[src]])
+    return rows, padded
+
+
+class TestRepeatedRows:
+    """Elimination drops zero rows and rows that repeat an earlier row up
+    to a scalar before it sweeps; no result may depend on that."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(matrices_with_repeats())
+    def test_rref_rank_and_kernel_unchanged(self, pair):
+        rows, padded = pair
+        a, big = Matrix.from_rows(rows), Matrix.from_rows(padded)
+        red, pivots = rref(a)
+        red_big, pivots_big = rref(big)
+        assert (red_big.rows, red_big.cols) == (big.rows, big.cols)
+        assert pivots_big == pivots
+        assert rank(big) == rank(a) == len(pivots)
+        head = len(pivots) * a.cols
+        assert red_big.entries[:head] == red.entries[:head]
+        assert not any(red_big.entries[head:])
+        assert kernel_basis(big) == kernel_basis(a)
 
 
 class TestSolve:
