@@ -8,13 +8,15 @@ canonical basis the module provides the bracket, adjoint matrices,
 structure constants, the Killing form, fixed-point subalgebras of algebra
 automorphisms, structural fingerprints of subalgebras, and a
 floating-point exponential linking derivations to automorphisms.
+Subalgebras are handed around as rows of 14 coordinates in the canonical
+basis; 8x8 matrices appear only in building that basis and where
+derivations meet octonions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -55,26 +57,6 @@ class Derivation:
 
     def apply(self, x: Octonion) -> Octonion:
         return Octonion(self.matrix.apply(x.coords))
-
-    def __add__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return Derivation(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return Derivation(self.matrix - other.matrix)
-
-    def __neg__(self):
-        return Derivation(-self.matrix)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Derivation(self.matrix * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -209,6 +191,19 @@ class G2AlgebraBasis:
             raise ValueError("coordinate length mismatch")
         return Derivation.from_flat(_combine(coeffs, self._rows, 64))
 
+    def ad(self, coeffs) -> Matrix:
+        """Matrix of X -> [x, X] for the x with coordinates coeffs, by
+        linearity from the structure constants: ad(sum c_i D_i) =
+        sum c_i ad(D_i)."""
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for ci, c_i in zip(coeffs, self.structure_constants):
+            if ci:
+                for j, cij in enumerate(c_i):
+                    for k, v in enumerate(cij):
+                        if v:
+                            out[k][j] += ci * v
+        return Matrix.from_rows(out)
+
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form on the basis (symmetric)."""
         if self._gram is None:
@@ -267,72 +262,67 @@ def derivation_basis() -> G2AlgebraBasis:
 def adjoint_matrix(d: Derivation, b: G2AlgebraBasis) -> Matrix:
     """Matrix of X -> [d, X] in the basis b.
 
-    d must lie in the span of b (checked exactly).  Uses linearity of the
-    adjoint action: ad(sum c_i D_i) = sum c_i ad(D_i) with the per-basis
-    adjoints read from the structure constants.
+    d must lie in the span of b (checked exactly); the matrix is
+    :meth:`G2AlgebraBasis.ad` of its coordinates.
     """
-    coeffs = b.coordinates(d)
-    n = b.dim
-    out = [[0] * n for _ in range(n)]
-    c = b.structure_constants
-    for i, ci in enumerate(coeffs):
-        if ci:
-            ci_rows = c[i]
-            for j in range(n):
-                cij = ci_rows[j]
-                for k in range(n):
-                    v = cij[k]
-                    if v:
-                        out[k][j] += ci * v
-    return Matrix.from_rows(out)
+    return b.ad(b.coordinates(d))
 
 
 def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis):
     """Killing form tr(ad x ad y), evaluated bilinearly on the Gram matrix."""
-    cx = b.coordinates(x)
-    cy = b.coordinates(y)
-    g = b.killing_gram()
-    total = 0
-    for i, xi in enumerate(cx):
-        if xi:
-            for j, yj in enumerate(cy):
-                if yj:
-                    gij = g.entry(i, j)
-                    if gij:
-                        total += xi * gij * yj
-    return total
+    cx, cy, g = b.coordinates(x), b.coordinates(y), b.killing_gram()
+    return sum(
+        xi * g.entry(i, j) * yj for i, xi in enumerate(cx) if xi for j, yj in enumerate(cy) if yj
+    )
+
+
+def _ints(row) -> list:
+    """The row with its integral entries as ints."""
+    return [v.numerator if v.denominator == 1 else v for v in row]
 
 
 def _kernel_of_images(images):
     """Canonical kernel basis of the coefficients c with sum_i c_i images[i] = 0,
-    given one image vector per basis element."""
+    given one image vector per basis element; integral entries as ints."""
     rows = len(images[0])
-    return kernel_basis(Matrix(rows, len(images), [v[r] for r in range(rows) for v in images]))
+    kern = kernel_basis(Matrix(rows, len(images), [v[r] for r in range(rows) for v in images]))
+    return tuple(tuple(_ints(v)) for v in kern)
 
 
 def fixed_subalgebra(sigma: Matrix, b: G2AlgebraBasis):
-    """Canonical basis of the derivations commuting with an automorphism.
+    """Canonical basis, as 14-coordinate rows in b, of the derivations
+    commuting with an automorphism.
 
     sigma must be an exact algebra automorphism given as an 8x8 rational
     matrix; the fixed-point condition sigma D sigma^-1 = D is solved as
-    sigma D - D sigma = 0 inside the span of b.
+    sigma D - D sigma = 0 inside the span of b.  The commutator of each
+    basis element is formed from its nonzero entries alone.
     """
     if not is_automorphism_matrix(sigma):
         raise ValueError("sigma is not an exact algebra automorphism")
-    kern = _kernel_of_images([(sigma * d.matrix - d.matrix * sigma).entries for d in b.basis])
-    return tuple(b.from_coordinates(v) for v in kern)
+    s = sigma.entries
+    images = []
+    for row in b._rows:
+        img = [0] * 64
+        for idx, v in row:
+            r, q = divmod(idx, 8)
+            for p in range(8):
+                img[8 * p + q] += s[8 * p + r] * v  # (sigma D)[p][q]
+                img[8 * r + p] -= v * s[8 * q + p]  # (D sigma)[r][p]
+        images.append(img)
+    return _kernel_of_images(images)
 
 
 def stabilizer_subalgebra(x: Octonion, b: G2AlgebraBasis):
-    """Canonical basis of the derivations annihilating a fixed octonion.
+    """Canonical basis, as 14-coordinate rows in b, of the derivations
+    annihilating a fixed octonion.
 
     For x = e1 this is the 8-dimensional subalgebra of derivations
     commuting with the complex structure (left multiplication by e1), the
     infinitesimal stabilizer of a point on the 6-sphere of imaginary
     units.
     """
-    kern = _kernel_of_images([d.apply(x).coords for d in b.basis])
-    return tuple(b.from_coordinates(v) for v in kern)
+    return _kernel_of_images([d.apply(x).coords for d in b.basis])
 
 
 def _bracket_coordinates(x, y, c) -> tuple:
@@ -350,25 +340,25 @@ def _bracket_coordinates(x, y, c) -> tuple:
     return tuple(out)
 
 
-def subalgebra_structure(s, b: G2AlgebraBasis) -> SubalgebraSummary:
-    """Fingerprint {dim, derived_dim, center_dim, is_abelian} of a
-    bracket-closed collection of derivations.
+def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
+    """Fingerprint {dim, derived_dim, center_dim, is_abelian} of the span
+    of rows, each the 14 coordinates in b of a derivation (as centralizer,
+    fixed_subalgebra and stabilizer_subalgebra return them).
 
-    Works in the coordinates of b: the span of s is reduced as 14-vectors
-    and every bracket is read from the structure constants of b, so no
-    8x8 matrix is formed.  Raises NotInSpanError if an element of s lies
-    outside the span of b (the Leibniz kernel, for the canonical basis),
-    and NotBracketClosedError if some bracket leaves the span of s.
+    The span is reduced as 14-vectors and every bracket is read from the
+    structure constants of b, so no 8x8 matrix is formed.  Raises
+    ValueError for a row of another length and NotBracketClosedError if
+    some bracket leaves the span.
     """
-    red, pivots = rref(Matrix.from_rows([b.coordinates(d) for d in s]))
+    if any(len(r) != b.dim for r in rows):
+        raise ValueError(f"subalgebra rows need {b.dim} coordinates")
+    red, pivots = rref(Matrix.from_rows(rows))
     dim = len(pivots)
     if dim == 0:
         return SubalgebraSummary(0, 0, 0, True)
     # the reduced echelon basis of the span, integral entries as ints so
     # that most bracket arithmetic below stays on ints
-    rows = _nonzeros(
-        [v.numerator if v.denominator == 1 else v for v in red.row(i)] for i in range(dim)
-    )
+    rows = _nonzeros(_ints(red.row(i)) for i in range(dim))
     c = b.structure_constants
 
     zero = (0,) * b.dim

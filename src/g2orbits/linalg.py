@@ -119,11 +119,6 @@ class Matrix:
             return Matrix(self.rows, self.cols, [e * other for e in self.entries])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Matrix(self.rows, self.cols, [other * e for e in self.entries])
-        return NotImplemented
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .derivations import (
     SubalgebraSummary,
+    _ints,
     adjoint_matrix,
     derivation_basis,
     subalgebra_structure,
@@ -99,10 +100,10 @@ class ClassificationReport:
 
 
 def centralizer(tau):
-    """Canonical basis of the derivations commuting with cartan_element(tau)."""
-    b = derivation_basis()
-    kern = kernel_basis(adjoint_matrix(cartan_element(tau), b))
-    return tuple(b.from_coordinates(v) for v in kern)
+    """Canonical basis of the derivations commuting with cartan_element(tau),
+    as 14-coordinate rows in derivation_basis(), integral entries as ints."""
+    kern = kernel_basis(adjoint_matrix(cartan_element(tau), derivation_basis()))
+    return tuple(tuple(_ints(v)) for v in kern)
 
 
 def _representative(van: tuple):

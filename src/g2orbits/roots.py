@@ -27,11 +27,11 @@ from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
 from .linalg import Matrix, _frac, kernel_basis, solve
 
 #: tau coordinates of the two Cartan generators
-TAU_H1 = (Fraction(1), Fraction(-1), Fraction(0))
-TAU_H2 = (Fraction(0), Fraction(1), Fraction(-1))
+TAU_H1 = (1, -1, 0)
+TAU_H2 = (0, 1, -1)
 
 #: designated generic element: all 12 root values are distinct there
-TAU_GENERIC = (Fraction(1), Fraction(-4), Fraction(3))
+TAU_GENERIC = (1, -4, 3)
 
 
 class CartanElement:
@@ -82,11 +82,11 @@ def _rotation_matrix(tau) -> Matrix:
 
     The three complex coordinate planes are (e2,e3), (e4,e5), (e6,e7); the
     third plane carries the conjugated identification (m3 = x6 - x7*i), so
-    its rotation block has the opposite sign.
+    its rotation block has the opposite sign.  Integral rates are taken
+    as ints, so an integer tau gives an int matrix.
     """
-    t1, t2, t3 = tau
-    zero = Fraction(0)
-    rows = [[zero] * 8 for _ in range(8)]
+    t1, t2, t3 = (t.numerator if t.denominator == 1 else t for t in tau)
+    rows = [[0] * 8 for _ in range(8)]
     rows[2][3] = -t1
     rows[3][2] = t1
     rows[4][5] = -t2
@@ -249,6 +249,12 @@ def roots_vanishing_on(t1: int, t2: int, t3: int) -> tuple:
     return tuple([r for a, b, c, r in _integer_roots() if a * t1 + b * t2 + c * t3 == 0])
 
 
+def _cleared(values):
+    """(scale, numerators): values as ints over their least common denominator."""
+    scale = lcm(*(t.denominator for t in values))
+    return scale, tuple(t.numerator * (scale // t.denominator) for t in values)
+
+
 def vanishing_roots(tau):
     """The roots of root_system() vanishing on tau (always an even count).
 
@@ -256,21 +262,20 @@ def vanishing_roots(tau):
     denominators; the scale is positive and a root vanishes on tau exactly
     when it vanishes on any positive multiple of it.
     """
-    tau = _coerce_cartan(tau)
-    scale = lcm(*(t.denominator for t in tau.tau))
-    return roots_vanishing_on(*(t.numerator * (scale // t.denominator) for t in tau.tau))
+    return roots_vanishing_on(*_cleared(_coerce_cartan(tau).tau)[1])
 
 
 @lru_cache(maxsize=None)
 def _reflection_vector(root: Root) -> tuple:
     """The tau coordinates of 2 H_r / B(H_r, H_r), with H_r the Killing
-    dual of the root: s_r(tau) = tau - r(tau) * this vector."""
+    dual of the root, as (den, int numerators): s_r(tau) = tau - r(tau) *
+    this vector."""
     rv = (root.value(TAU_H1), root.value(TAU_H2))
     x = solve(_cartan_gram(), rv)
     if x is None:
         raise InternalInvariantError("Killing Gram matrix is singular")
     scale = 2 / (rv[0] * x[0] + rv[1] * x[1])
-    return tuple(scale * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3))
+    return _cleared([scale * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3)])
 
 
 def weyl_reflect(root: Root, tau) -> CartanElement:
@@ -278,8 +283,11 @@ def weyl_reflect(root: Root, tau) -> CartanElement:
 
     Computed via the Killing form: s_r(H) = H - 2 B(H, H_r)/B(H_r, H_r) H_r
     with H_r the Killing-dual of the root, expressed in tau coordinates;
-    the root's part of it is computed once per root.
+    the root's part of it is computed once per root.  tau is cleared to
+    integers and the root value taken as an int dot product, so each
+    output coordinate is one Fraction.
     """
-    tau = _coerce_cartan(tau)
-    v = root.value(tau)
-    return CartanElement(tuple(t - v * w for t, w in zip(tau.tau, _reflection_vector(root))))
+    scale, t = _cleared(_coerce_cartan(tau).tau)
+    den, w = _reflection_vector(root)
+    v = root.value(t)
+    return CartanElement(tuple(Fraction(ti * den - v * wi, scale * den) for ti, wi in zip(t, w)))

@@ -84,13 +84,14 @@ def _involution_shadows() -> str:
     assert is_automorphism_matrix(g), "certificate g is not an automorphism"
     assert g * gt == Matrix.identity(8), "certificate g is not orthogonal"
     assert g * gamma == gamma1 * g, "certificate g does not conjugate gamma into gamma1"
-    images = [Derivation(g * d.matrix * gt) for d in fix]
+    images = [Derivation(g * b.from_coordinates(v).matrix * gt) for v in fix]
     assert all(d.satisfies_leibniz() for d in images), "Ad(g) image is not a derivation"
     assert all(gamma1 * d.matrix == d.matrix * gamma1 for d in images), (
         "Ad(g) image is not fixed by gamma1"
     )
     assert _span_rank(images) == 6, "Ad(g) images of Fix(gamma) do not span rank 6"
-    assert _span_rank(images + list(fix1)) == 6, "Ad(g) Fix(gamma) is not Fix(gamma1)"
+    fix1 = [b.from_coordinates(v) for v in fix1]
+    assert _span_rank(images + fix1) == 6, "Ad(g) Fix(gamma) is not Fix(gamma1)"
     return "gamma fixed (6,6,0); gamma1 fixed (6,6,0) = Ad(g) of gamma's, g a signed-permutation automorphism"
 
 

@@ -1,0 +1,99 @@
+"""Tests of the verification suite itself: the draws it makes, and that
+check 9 fails on a broken algebra and needs no 8x8 bracket."""
+
+import random
+
+import pytest
+
+from g2orbits import checks, derivations
+from g2orbits.cayley import Octonion
+from g2orbits.derivations import G2AlgebraBasis, bracket, derivation_basis, killing_form
+from g2orbits.linalg import Matrix
+
+
+def test_octonion_draws_equal_the_fraction_built_ones():
+    # check 7's integer draws against Octonion([_random_fraction ...]), the
+    # form they had before: same values from the same randint calls
+    new, old = random.Random(20240801), random.Random(20240801)
+    for _ in range(1000):
+        x = checks._random_octonion(new)
+        y = Octonion([checks._random_fraction(old) for _ in range(8)])
+        assert (x.num, x.den) == (y.num, y.den)
+    assert new.random() == old.random()
+
+
+def patched_basis(monkeypatch, structure=None, gram=None):
+    """Make check 9 see the canonical basis with its structure constants
+    or its Killing Gram matrix replaced."""
+    b = derivation_basis()
+    patched = G2AlgebraBasis(b.basis, structure or b.structure_constants, b._pivots)
+    patched._gram = gram or b.killing_gram()
+    monkeypatch.setattr(checks, "derivation_basis", lambda: patched)
+
+
+def flipped_constant(c, i, j, k):
+    """Structure constants with c[i][j][k] and its partner c[j][i][k] negated."""
+    rows = [[list(ck) for ck in ci] for ci in c]
+    rows[i][j][k] = -rows[i][j][k]
+    rows[j][i][k] = -rows[j][i][k]
+    return tuple(tuple(tuple(ck) for ck in ci) for ci in rows)
+
+
+def gram_with(entries):
+    """The Killing Gram matrix with the given {(i, j): value} entries."""
+    rows = derivation_basis().killing_gram().row_lists()
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    return Matrix.from_rows(rows)
+
+
+class TestCheck09CatchesABrokenAlgebra:
+    def test_intact_basis_passes(self, monkeypatch):
+        patched_basis(monkeypatch)
+        checks.check_09_lie_algebra_integrity()
+
+    @pytest.mark.parametrize("pick", [0, 17, 50, 99])
+    def test_flipped_structure_constant(self, monkeypatch, pick):
+        c = derivation_basis().structure_constants
+        nonzero = [
+            (i, j, k) for i in range(14) for j in range(i + 1, 14) for k in range(14) if c[i][j][k]
+        ]
+        assert len(nonzero) == 100
+        patched_basis(monkeypatch, structure=flipped_constant(c, *nonzero[pick]))
+        with pytest.raises(AssertionError):
+            checks.check_09_lie_algebra_integrity()
+
+    @pytest.mark.parametrize("i,j,v", [(0, 13, 8), (0, 1, 1), (5, 7, -7)])
+    def test_symmetric_change_of_an_off_diagonal_gram_entry(self, monkeypatch, i, j, v):
+        # Jacobi and the 14 minors still hold; only ad-invariance fails
+        patched_basis(monkeypatch, gram=gram_with({(i, j): v, (j, i): v}))
+        with pytest.raises(AssertionError, match="not ad-invariant"):
+            checks.check_09_lie_algebra_integrity()
+
+    def test_one_flipped_gram_entry(self, monkeypatch):
+        g = derivation_basis().killing_gram()
+        patched_basis(monkeypatch, gram=gram_with({(0, 13): -g.entry(0, 13)}))
+        with pytest.raises(AssertionError):
+            checks.check_09_lie_algebra_integrity()
+
+
+def test_sampled_ad_invariance_of_the_old_check_09():
+    # the 100 triples that check 9 drew before the trilinear form replaced
+    # them, through 8x8 brackets and the Killing form: the oracle it keeps
+    b = derivation_basis()
+    rng = random.Random(909)
+    for _ in range(100):
+        x, y, z = (b.from_coordinates([rng.randint(-3, 3) for _ in range(b.dim)]) for _ in range(3))
+        assert killing_form(bracket(z, x), y, b) + killing_form(x, bracket(z, y), b) == 0
+
+
+def test_check_09_forms_no_bracket_and_no_killing_form(monkeypatch):
+    derivation_basis().killing_gram()
+
+    def forbidden(*args):
+        raise AssertionError("check 9 formed an 8x8 bracket or a Killing form of derivations")
+
+    for module in (derivations, checks):
+        monkeypatch.setattr(module, "bracket", forbidden, raising=False)
+        monkeypatch.setattr(module, "killing_form", forbidden, raising=False)
+    assert "ad-invariance on all basis triples" in checks.check_09_lie_algebra_integrity()

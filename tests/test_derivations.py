@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2orbits import linalg
+from g2orbits import linalg, orbits
 from g2orbits.cayley import MULT_TABLE, Octonion, gamma1_matrix, gamma_matrix
 from g2orbits.derivations import (
     Derivation,
+    G2AlgebraBasis,
     SubalgebraSummary,
     adjoint_matrix,
     bracket,
@@ -21,8 +22,8 @@ from g2orbits.derivations import (
 )
 from g2orbits.errors import NotBracketClosedError, NotInSpanError
 from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref
-from g2orbits.orbits import centralizer
-from g2orbits.roots import cartan_basis, vanishing_roots
+from g2orbits.orbits import centralizer, classify
+from g2orbits.roots import cartan_basis, root_system, vanishing_roots
 
 
 def F(n, d=1):
@@ -31,6 +32,12 @@ def F(n, d=1):
 
 def random_element(b, rng, lo=-3, hi=3):
     return b.from_coordinates([F(rng.randint(lo, hi)) for _ in range(b.dim)])
+
+
+def coordinate_rows(b, derivations):
+    """The 14 coordinates in b of each derivation, the rows that
+    subalgebra_structure takes; NotInSpanError for one outside the span."""
+    return [b.coordinates(d) for d in derivations]
 
 
 def leibniz_by_products(d):
@@ -50,9 +57,9 @@ def leibniz_by_products(d):
 
 
 def structure_by_matrices(s):
-    """The fingerprint from brackets of 8x8 matrices: the form
-    subalgebra_structure had before it moved to the coordinates of the
-    basis.  Raises NotBracketClosedError like it."""
+    """The fingerprint of the derivations s from brackets of 8x8
+    matrices: the form subalgebra_structure had before it moved to the
+    coordinates of the basis.  Raises NotBracketClosedError like it."""
     red, pivots = rref(Matrix.from_rows([d.flat() for d in s]))
     rows = [red.row(i) for i in range(len(pivots))]
     dim = len(rows)
@@ -71,7 +78,7 @@ def structure_by_matrices(s):
             if not in_span(br.flat()):
                 raise NotBracketClosedError("bracket of subalgebra elements leaves the span")
             pair_brackets[i, j] = br
-            pair_brackets[j, i] = -br
+            pair_brackets[j, i] = Derivation(-br.matrix)
     nonzero = [br.flat() for (i, j), br in pair_brackets.items() if i < j and not br.is_zero()]
     derived_dim = rank(Matrix.from_rows(nonzero)) if nonzero else 0
     # the centre: coefficient vectors c with sum_i c_i [mats_i, mats_j] = 0 for every j
@@ -114,15 +121,20 @@ def check_11_draws():
     return draws
 
 
-def one_centralizer_per_vanishing_set():
-    """The centralizer of one lattice point for each of the 8 vanishing sets."""
+def one_tau_per_vanishing_set():
+    """One lattice point for each of the 8 vanishing sets."""
     by_set = {}
     for t1 in range(-3, 4):
         for t2 in range(-3, 4):
             tau = (t1, t2, -t1 - t2)
             by_set.setdefault(vanishing_roots(tau), tau)
     assert len(by_set) == 8
-    return [centralizer(tau) for tau in by_set.values()]
+    return list(by_set.values())
+
+
+def one_centralizer_per_vanishing_set():
+    """The centralizer of one lattice point for each of the 8 vanishing sets."""
+    return [centralizer(tau) for tau in one_tau_per_vanishing_set()]
 
 
 def sign_flipped(d, p, q):
@@ -388,7 +400,8 @@ class TestFixedSubalgebras:
     def test_fixed_elements_commute_with_sigma(self):
         b = derivation_basis()
         g = gamma_matrix()
-        for d in fixed_subalgebra(g, b):
+        for v in fixed_subalgebra(g, b):
+            d = b.from_coordinates(v)
             assert (g * d.matrix - d.matrix * g).is_zero()
 
     def test_rejects_non_automorphism(self):
@@ -402,20 +415,20 @@ class TestFixedSubalgebras:
         assert len(sub) == 8
         s = subalgebra_structure(sub, b)
         assert (s.dim, s.derived_dim, s.center_dim) == (8, 8, 0)
-        for d in sub:
-            assert d.apply(Octonion.basis(1)).is_zero()
+        for v in sub:
+            assert b.from_coordinates(v).apply(Octonion.basis(1)).is_zero()
 
 
 class TestSubalgebraStructure:
     def test_full_algebra(self):
         b = derivation_basis()
-        s = subalgebra_structure(b.basis, b)
+        s = subalgebra_structure(coordinate_rows(b, b.basis), b)
         assert (s.dim, s.derived_dim, s.center_dim, s.is_abelian) == (14, 14, 0, False)
 
     def test_not_closed_raises(self):
         b = derivation_basis()
         with pytest.raises(NotBracketClosedError):
-            subalgebra_structure(b.basis[:1] + b.basis[3:4], b)
+            subalgebra_structure(coordinate_rows(b, b.basis[:1] + b.basis[3:4]), b)
 
     def test_empty(self):
         b = derivation_basis()
@@ -428,23 +441,59 @@ class TestSubalgebraStructure:
             fixed_subalgebra(gamma_matrix(), b),
             fixed_subalgebra(gamma1_matrix(), b),
             stabilizer_subalgebra(Octonion.basis(1), b),
-            cartan_basis(),
-            b.basis,
+            coordinate_rows(b, cartan_basis()),
+            coordinate_rows(b, b.basis),
             (),
         ]
         for s in inputs:
-            assert subalgebra_structure(s, b) == structure_by_matrices(s)
+            derivations = [b.from_coordinates(v) for v in s]
+            assert subalgebra_structure(s, b) == structure_by_matrices(derivations)
 
     def test_not_closed_raises_in_the_matrix_form_too(self):
         b = derivation_basis()
         with pytest.raises(NotBracketClosedError):
             structure_by_matrices(b.basis[:1] + b.basis[3:4])
 
+    def test_rows_of_another_length_raise(self):
+        b = derivation_basis()
+        with pytest.raises(ValueError, match="14 coordinates"):
+            subalgebra_structure([h.flat() for h in cartan_basis()], b)
+
     def test_element_outside_the_kernel_raises(self):
         b = derivation_basis()
         stray = sign_flipped(cartan_basis()[0], 2, 3)
         with pytest.raises(NotInSpanError):
-            subalgebra_structure(cartan_basis()[1:] + (stray,), b)
+            subalgebra_structure(coordinate_rows(b, cartan_basis()[1:] + (stray,)), b)
+
+
+class TestHotPathsStayOffMatrices:
+    """Fingerprints are filled in the 14 coordinates: no derivation is
+    rebuilt from its coordinates and no Matrix product is formed."""
+
+    @staticmethod
+    def forbid_matrices(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an 8x8 derivation or a Matrix product on a hot path")
+
+        monkeypatch.setattr(G2AlgebraBasis, "from_coordinates", forbidden)
+        monkeypatch.setattr(Matrix, "__mul__", forbidden)
+
+    def test_classify_fills_all_eight_fingerprints(self, monkeypatch):
+        derivation_basis()
+        root_system()
+        orbits._stabilizer.cache_clear()
+        orbits._structure.cache_clear()
+        self.forbid_matrices(monkeypatch)
+        for tau in one_tau_per_vanishing_set():
+            classify(tau)
+        assert orbits._structure.cache_info().currsize == 8
+
+    def test_fixed_and_stabilizer_subalgebras(self, monkeypatch):
+        b = derivation_basis()
+        self.forbid_matrices(monkeypatch)
+        for sigma in (gamma_matrix(), gamma1_matrix()):
+            assert subalgebra_structure(fixed_subalgebra(sigma, b), b).dim == 6
+        assert subalgebra_structure(stabilizer_subalgebra(Octonion.basis(1), b), b).dim == 8
 
 
 class TestExpNumeric:

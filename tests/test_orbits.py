@@ -44,7 +44,7 @@ class TestCentralizer:
         h1, h2 = cartan_basis()
         for tau in [(1, 2, -3), (1, 0, -1), (1, 1, -2)]:
             cent = centralizer(CartanElement.of(*tau))
-            base = [d.flat() for d in cent]
+            base = [derivation_basis().from_coordinates(v).flat() for v in cent]
             r = rank(Matrix.from_rows(base))
             assert rank(Matrix.from_rows(base + [h1.flat()])) == r
             assert rank(Matrix.from_rows(base + [h2.flat()])) == r
@@ -54,8 +54,8 @@ class TestCentralizer:
 
         tau = CartanElement.of(1, 0, -1)
         h = cartan_element(tau)
-        for d in centralizer(tau):
-            assert bracket(h, d).is_zero()
+        for v in centralizer(tau):
+            assert bracket(h, derivation_basis().from_coordinates(v)).is_zero()
 
     def test_bracket_closed(self):
         from g2orbits.derivations import subalgebra_structure
