@@ -23,9 +23,9 @@ gcd; the multiplication table is read off the doubling product.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import Matrix, _frac, rank
+from .linalg import Matrix, _cleared, _frac, rank
 
 
 # componentwise sum and difference of int tuples (quaternions, complex pairs)
@@ -69,11 +69,8 @@ class _IntCoords:
         coords = tuple(_frac(c) for c in coords)
         if len(coords) != 8:
             raise ValueError(f"{type(self).__name__} needs 8 coordinates")
-        # over the lcm of the reduced denominators, numerators and
-        # denominator are already coprime
-        den = lcm(*(c.denominator for c in coords))
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
-        self.den = den
+        # cleared from reduced Fractions, den and num are already coprime
+        self.den, self.num = _cleared(coords)
 
     @classmethod
     def _reduced(cls, num, den: int):

@@ -31,7 +31,6 @@ from .cayley import (
     to_complex_model,
 )
 from .derivations import (
-    adjoint_matrix,
     derivation_basis,
     exp_derivation_numeric,
     fixed_subalgebra,
@@ -234,18 +233,25 @@ def check_09_lie_algebra_integrity() -> str:
     """Structure constants satisfy Jacobi exactly; Killing form symmetric
     and negative definite (leading minors); ad-invariant on all triples.
 
-    For the antisymmetric bracket, Jacobi is the statement that ad is a
-    Lie homomorphism, ad [D_i, D_j] = [ad D_i, ad D_j], checked on all 91
-    basis pairs.  B([z, x], y) + B(x, [z, y]) is trilinear, so it vanishes
-    everywhere exactly when T[k][i][j] = B([D_k, D_i], D_j) = sum_l
-    c[k][i][l] G[l][j] is antisymmetric in (i, j), diagonal included."""
+    The constants are antisymmetric by construction, so Jacobi is the
+    cyclic sum over basis triples i < j < k, walking the nonzero c[i][j][l]:
+    sum_l c[i][j][l] c[l][k] + c[j][k][l] c[l][i] + c[k][i][l] c[l][j] = 0.
+    B([z, x], y) + B(x, [z, y]) is trilinear, so it vanishes everywhere
+    exactly when T[k][i][j] = B([D_k, D_i], D_j) = sum_l c[k][i][l] G[l][j]
+    is antisymmetric in (i, j), diagonal included."""
     b = derivation_basis()
     c = b.structure_constants
     n = b.dim
-    ad = [adjoint_matrix(d, b) for d in b.basis]
+    nz = [[[(l, v) for l, v in enumerate(cij) if v] for cij in ci] for ci in c]
     for i in range(n):
         for j in range(i + 1, n):
-            assert b.ad(c[i][j]) == ad[i] * ad[j] - ad[j] * ad[i], f"Jacobi fails at ({i},{j})"
+            for k in range(j + 1, n):
+                acc = [0] * n
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, v in nz[p][q]:
+                        for m, w in nz[l][r]:
+                            acc[m] += v * w
+                assert not any(acc), f"Jacobi fails at ({i},{j},{k})"
     gram = b.killing_gram()
     assert gram == gram.transpose(), "Killing Gram matrix not symmetric"
     neg = -gram

@@ -235,7 +235,6 @@ def derivation_basis() -> G2AlgebraBasis:
         )
     if any(v.denominator != 1 for row in kern for v in row):
         raise InternalInvariantError("Leibniz kernel basis is not integral")
-    kern = tuple(tuple(v.numerator for v in row) for row in kern)
     pivots = []
     for row in kern:
         lead = next(idx for idx, v in enumerate(row) if v)
@@ -276,17 +275,11 @@ def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis):
     )
 
 
-def _ints(row) -> list:
-    """The row with its integral entries as ints."""
-    return [v.numerator if v.denominator == 1 else v for v in row]
-
-
 def _kernel_of_images(images):
     """Canonical kernel basis of the coefficients c with sum_i c_i images[i] = 0,
-    given one image vector per basis element; integral entries as ints."""
+    given one image vector per basis element."""
     rows = len(images[0])
-    kern = kernel_basis(Matrix(rows, len(images), [v[r] for r in range(rows) for v in images]))
-    return tuple(tuple(_ints(v)) for v in kern)
+    return kernel_basis(Matrix(rows, len(images), [v[r] for r in range(rows) for v in images]))
 
 
 def fixed_subalgebra(sigma: Matrix, b: G2AlgebraBasis):
@@ -356,9 +349,7 @@ def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
     dim = len(pivots)
     if dim == 0:
         return SubalgebraSummary(0, 0, 0, True)
-    # the reduced echelon basis of the span, integral entries as ints so
-    # that most bracket arithmetic below stays on ints
-    rows = _nonzeros(_ints(red.row(i)) for i in range(dim))
+    rows = _nonzeros(red.row(i) for i in range(dim))
     c = b.structure_constants
 
     zero = (0,) * b.dim

@@ -1,16 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Everything here is pure, exact and deterministic: no floating point, no
-pivot heuristics.  There is one elimination core, a fraction-free one on
-integer rows: every row is first multiplied by the lcm of its
-denominators, which leaves the row space unchanged.  Elimination always
-picks the first row (top-down) with a nonzero entry in the current column,
-sweeping columns left to right, so equal inputs produce bit-for-bit equal
-outputs.  Kernel bases are returned in a canonical form (the unique
-reduced echelon basis of the null space, leading entry of every vector
-equal to 1).  The determinant is fraction-free too: Bareiss elimination
-on the same integer scaling, so an int matrix has an int determinant.
-Products, traces and matrix-vector products of int matrices stay int.
+pivot heuristics.  This is the one module where rationals and integers
+cross: :func:`_cleared` writes values as int numerators over their lcm
+denominator, and every value a reduction returns is an int where it is
+integral and a Fraction only where it is not.  The one elimination core
+is fraction-free, on the cleared integer rows (same row space).  It
+always picks the first row (top-down) with a nonzero entry in the current
+column, sweeping columns left to right, so equal inputs produce
+bit-for-bit equal outputs.  Kernel bases are canonical (the unique
+reduced echelon basis of the null space, leading entries 1).  The
+determinant is Bareiss elimination on the same clearing, so an int
+matrix has an int determinant.  Products, traces and matrix-vector
+products of int matrices stay int.
 """
 
 from __future__ import annotations
@@ -164,6 +166,21 @@ class Matrix:
 # elimination core
 # ---------------------------------------------------------------------------
 
+def _cleared(values) -> Tuple[int, tuple]:
+    """(scale, numerators): rational values (ints or Fractions) as int
+    numerators over their least common denominator ``scale`` > 0."""
+    scale = lcm(*{v.denominator for v in values})
+    if scale == 1:
+        return 1, tuple([v.numerator for v in values])
+    return scale, tuple([v.numerator * (scale // v.denominator) for v in values])
+
+
+def _quotient(v: int, d: int) -> Scalar:
+    """v / d (d != 0) as an int when d divides v, else as a Fraction."""
+    q, r = divmod(v, d)
+    return Fraction(v, d) if r else q
+
+
 def _normalize_int_row(row) -> None:
     """Divide an integer row by the gcd of its entries, leading entry > 0."""
     g = 0
@@ -232,34 +249,16 @@ def _rref_int(rows) -> Tuple[int, ...]:
     return tuple(pivots)
 
 
-def _as_int_rows(rows) -> list:
-    """Integer rows with the same row space: each row times the lcm of its
-    denominators.  Reads numerator/denominator directly (ints have both),
-    so no Fraction is built per entry."""
-    out = []
-    for row in rows:
-        den = 1
-        for e in row:
-            d = e.denominator
-            if d != 1:
-                den = lcm(den, d)
-        if den == 1:
-            out.append([e.numerator for e in row])
-        else:
-            out.append([e.numerator * (den // e.denominator) for e in row])
-    return out
-
-
 def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
-    """RREF of a list of rational rows, returned as Fraction rows (zero
-    rows last) with the pivot columns.
+    """RREF of a list of rational rows (zero rows last) with the pivot
+    columns; each entry an int where integral, else a Fraction.
 
     Zero rows and rows that repeat an earlier row up to a scalar do not
     change the row space, so only the distinct rows are eliminated: the
     gcd and sign normalisation of each integer row is its key.  The
     output is padded back to the input's row count.
     """
-    irows = _as_int_rows(rows)
+    irows = [list(_cleared(row)[1]) for row in rows]
     distinct = {}
     for row in irows:
         _normalize_int_row(row)
@@ -268,13 +267,12 @@ def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
     work = list(distinct.values())
     pivots = _rref_int(work)
     ncols = len(irows[0]) if irows else 0
-    zero = Fraction(0)
     out = []
     for ridx, c in enumerate(pivots):
         pv = work[ridx][c]
-        out.append([Fraction(v, pv) if v else zero for v in work[ridx]])
+        out.append([_quotient(v, pv) if v else 0 for v in work[ridx]])
     for _ in range(len(irows) - len(pivots)):
-        out.append([zero] * ncols)
+        out.append([0] * ncols)
     return out, pivots
 
 
@@ -283,7 +281,7 @@ def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
+    """Reduced row echelon form (ints where integral) and pivot columns."""
     rows, pivots = _rref_rows(m.row_lists())
     flat = []
     for r in rows:
@@ -301,8 +299,8 @@ def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
     """Canonical basis of the right null space.
 
     The returned vectors are the reduced echelon basis of the null space;
-    the leading entry of every vector is 1, and repeated calls on equal
-    inputs return identical output.
+    the leading entry of every vector is 1, every integral entry is an
+    int, and repeated calls on equal inputs return identical output.
     """
     red, pivots = _rref_rows(m.row_lists())
     n = m.cols
@@ -312,8 +310,8 @@ def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
         return ()
     vecs = []
     for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+        v = [0] * n
+        v[f] = 1
         for ridx, c in enumerate(pivots):
             e = red[ridx][f]
             if e:
@@ -329,7 +327,8 @@ def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
 def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
     """One exact solution of M x = b, or None if the system is inconsistent.
 
-    The particular solution sets all free variables to zero.
+    The particular solution sets all free variables to zero; its
+    integral entries are ints.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
@@ -340,7 +339,7 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
     n = m.cols
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for ridx, c in enumerate(pivots):
         x[c] = red[ridx][n]
     return tuple(x)
@@ -359,8 +358,8 @@ def det(m: Matrix) -> Scalar:
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
     n = m.rows
-    den = lcm(*(e.denominator for e in m.entries))
-    rows = [[e.numerator * (den // e.denominator) for e in m.row(i)] for i in range(n)]
+    den, ints = _cleared(m.entries)
+    rows = [list(ints[i * n : (i + 1) * n]) for i in range(n)]
     sign = prev = 1
     for c in range(n):
         hit = next((i for i in range(c, n) if rows[i][c]), -1)

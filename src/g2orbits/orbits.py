@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .derivations import (
     SubalgebraSummary,
-    _ints,
     adjoint_matrix,
     derivation_basis,
     subalgebra_structure,
@@ -101,9 +100,8 @@ class ClassificationReport:
 
 def centralizer(tau):
     """Canonical basis of the derivations commuting with cartan_element(tau),
-    as 14-coordinate rows in derivation_basis(), integral entries as ints."""
-    kern = kernel_basis(adjoint_matrix(cartan_element(tau), derivation_basis()))
-    return tuple(tuple(_ints(v)) for v in kern)
+    as 14-coordinate rows in derivation_basis()."""
+    return kernel_basis(adjoint_matrix(cartan_element(tau), derivation_basis()))
 
 
 def _representative(van: tuple):

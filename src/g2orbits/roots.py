@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .derivations import (
     Derivation,
@@ -24,7 +24,7 @@ from .derivations import (
     killing_form,
 )
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _frac, kernel_basis, solve
+from .linalg import Matrix, _cleared, _frac, _quotient, kernel_basis, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -43,7 +43,7 @@ class CartanElement:
         tau = tuple(_frac(x) for x in tau)
         if len(tau) != 3:
             raise ValueError("a Cartan element needs 3 components")
-        if sum(tau) != 0:
+        if sum(_cleared(tau)[1]) != 0:
             raise SumNonzeroError(f"components must sum to zero, got {tau}")
         self.tau = tau
 
@@ -85,7 +85,7 @@ def _rotation_matrix(tau) -> Matrix:
     its rotation block has the opposite sign.  Integral rates are taken
     as ints, so an integer tau gives an int matrix.
     """
-    t1, t2, t3 = (t.numerator if t.denominator == 1 else t for t in tau)
+    t1, t2, t3 = (_quotient(t.numerator, t.denominator) for t in tau)
     rows = [[0] * 8 for _ in range(8)]
     rows[2][3] = -t1
     rows[3][2] = t1
@@ -249,12 +249,6 @@ def roots_vanishing_on(t1: int, t2: int, t3: int) -> tuple:
     return tuple([r for a, b, c, r in _integer_roots() if a * t1 + b * t2 + c * t3 == 0])
 
 
-def _cleared(values):
-    """(scale, numerators): values as ints over their least common denominator."""
-    scale = lcm(*(t.denominator for t in values))
-    return scale, tuple(t.numerator * (scale // t.denominator) for t in values)
-
-
 def vanishing_roots(tau):
     """The roots of root_system() vanishing on tau (always an even count).
 
@@ -274,7 +268,7 @@ def _reflection_vector(root: Root) -> tuple:
     x = solve(_cartan_gram(), rv)
     if x is None:
         raise InternalInvariantError("Killing Gram matrix is singular")
-    scale = 2 / (rv[0] * x[0] + rv[1] * x[1])
+    scale = Fraction(2, rv[0] * x[0] + rv[1] * x[1])
     return _cleared([scale * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3)])
 
 

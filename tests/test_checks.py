@@ -1,5 +1,6 @@
 """Tests of the verification suite itself: the draws it makes, and that
-check 9 fails on a broken algebra and needs no 8x8 bracket."""
+check 9 fails on a broken algebra, needs no 8x8 bracket and agrees with
+the forms it replaced."""
 
 import random
 
@@ -7,7 +8,13 @@ import pytest
 
 from g2orbits import checks, derivations
 from g2orbits.cayley import Octonion
-from g2orbits.derivations import G2AlgebraBasis, bracket, derivation_basis, killing_form
+from g2orbits.derivations import (
+    G2AlgebraBasis,
+    adjoint_matrix,
+    bracket,
+    derivation_basis,
+    killing_form,
+)
 from g2orbits.linalg import Matrix
 
 
@@ -39,6 +46,18 @@ def flipped_constant(c, i, j, k):
     return tuple(tuple(tuple(ck) for ck in ci) for ci in rows)
 
 
+def jacobi_by_ad_products(b):
+    """Check 9's Jacobi half before the cyclic sum on the structure
+    constants replaced it: ad is a Lie homomorphism, ad [D_i, D_j] =
+    [ad D_i, ad D_j], on all 91 basis pairs, through 14x14 products."""
+    c = b.structure_constants
+    n = b.dim
+    ad = [adjoint_matrix(d, b) for d in b.basis]
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert b.ad(c[i][j]) == ad[i] * ad[j] - ad[j] * ad[i], f"Jacobi fails at ({i},{j})"
+
+
 def gram_with(entries):
     """The Killing Gram matrix with the given {(i, j): value} entries."""
     rows = derivation_basis().killing_gram().row_lists()
@@ -60,8 +79,10 @@ class TestCheck09CatchesABrokenAlgebra:
         ]
         assert len(nonzero) == 100
         patched_basis(monkeypatch, structure=flipped_constant(c, *nonzero[pick]))
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="Jacobi fails"):
             checks.check_09_lie_algebra_integrity()
+        with pytest.raises(AssertionError, match="Jacobi fails"):
+            jacobi_by_ad_products(checks.derivation_basis())
 
     @pytest.mark.parametrize("i,j,v", [(0, 13, 8), (0, 1, 1), (5, 7, -7)])
     def test_symmetric_change_of_an_off_diagonal_gram_entry(self, monkeypatch, i, j, v):
@@ -85,6 +106,12 @@ def test_sampled_ad_invariance_of_the_old_check_09():
     for _ in range(100):
         x, y, z = (b.from_coordinates([rng.randint(-3, 3) for _ in range(b.dim)]) for _ in range(3))
         assert killing_form(bracket(z, x), y, b) + killing_form(x, bracket(z, y), b) == 0
+
+
+def test_ad_homomorphism_jacobi_of_the_old_check_09():
+    # the 91 pairs of 14x14 products that check 9 formed before the cyclic
+    # sum on the int structure constants replaced them: the oracle it keeps
+    jacobi_by_ad_products(derivation_basis())
 
 
 def test_check_09_forms_no_bracket_and_no_killing_form(monkeypatch):

@@ -37,6 +37,39 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+# the rational-to-int clearing lives in linalg; checks clears raw (n, d)
+# draws without building Fractions
+LCM_ALLOWED = {"linalg.py", "checks.py"}
+
+
+def _lcm_uses(source: str):
+    """Lines where a module imports lcm from math or refers to math.lcm."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            lines += [node.lineno for alias in node.names if alias.name == "lcm"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "lcm"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_sees_lcm_imported_or_called():
+    src = "import math\nfrom math import gcd, lcm as l\ndef f(a):\n    return math.lcm(*a)\n"
+    assert _lcm_uses(src) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name not in LCM_ALLOWED], ids=lambda p: p.name
+)
+def test_lcm_only_in_linalg_and_checks(path):
+    assert _lcm_uses(path.read_text()) == []
+
+
 def _import_time_modules(source: str):
     """Top-level names of the modules a module imports when it is itself
     imported: every import outside a function body."""

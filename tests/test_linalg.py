@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2orbits.cayley import Octonion, gamma_matrix
+from g2orbits.derivations import derivation_basis, fixed_subalgebra, stabilizer_subalgebra
 from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref, solve
+from g2orbits.orbits import centralizer
 
 
 def F(n, d=1):
@@ -129,12 +132,13 @@ class TestRowScaling:
 
 
 @st.composite
-def matrices_with_repeats(draw):
-    """An int matrix, and the same matrix with zero rows and rescaled
-    copies of its rows inserted anywhere."""
+def matrices_with_repeats(draw, entries=st.integers(-4, 4)):
+    """A matrix of the given entries (ints unless told otherwise), and the
+    same matrix with zero rows and rescaled copies of its rows inserted
+    anywhere."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=m, max_size=m))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
     padded = [list(r) for r in rows]
     scalars = st.sampled_from([0, 1, -1, 2, -3, F(1, 2), F(-5, 7)])
     extras = draw(st.lists(st.tuples(st.integers(0, m - 1), scalars, st.integers(0, 20)), max_size=8))
@@ -161,6 +165,100 @@ class TestRepeatedRows:
         assert red_big.entries[:head] == red.entries[:head]
         assert not any(red_big.entries[head:])
         assert kernel_basis(big) == kernel_basis(a)
+
+
+def fraction_rref(rows):
+    """Plain Gauss-Jordan elimination over Fractions: the reduced rows,
+    zero rows last, and the pivot columns."""
+    rows = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def fraction_kernel(rows):
+    """The reduced echelon basis of the null space, over Fractions."""
+    n = len(rows[0])
+    red, pivots = fraction_rref(rows)
+    vecs = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for ridx, c in enumerate(pivots):
+            v[c] = -red[ridx][f]
+        vecs.append(v)
+    return tuple(tuple(v) for v in fraction_rref(vecs)[0]) if vecs else ()
+
+
+def fraction_solve(rows, rhs):
+    """The solution with free variables zero, over Fractions, or None."""
+    n = len(rows[0])
+    red, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for ridx, c in enumerate(pivots):
+        x[c] = red[ridx][n]
+    return tuple(x)
+
+
+def assert_int_where_integral(values):
+    for v in values:
+        assert type(v) is (int if v.denominator == 1 else Fraction), (v, type(v))
+
+
+small_rationals = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-4, 4), st.integers(1, 4)))
+
+
+class TestIntWhereIntegral:
+    """rref, kernel_basis and solve return an int for every integral value
+    and a Fraction for every other one, with the values of plain Fraction
+    elimination."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(matrices_with_repeats(small_rationals), st.data())
+    def test_types_and_values_match_fraction_elimination(self, pair, data):
+        rows = pair[1]
+        a = Matrix.from_rows(rows)
+        if data.draw(st.booleans()):
+            rhs = a.apply(data.draw(st.lists(small_rationals, min_size=a.cols, max_size=a.cols)))
+        else:
+            rhs = data.draw(st.lists(small_rationals, min_size=a.rows, max_size=a.rows))
+
+        red, pivots = rref(a)
+        ref_red, ref_pivots = fraction_rref(rows)
+        assert_int_where_integral(red.entries)
+        assert (red.entries, pivots) == (tuple(x for row in ref_red for x in row), ref_pivots)
+
+        kern = kernel_basis(a)
+        assert_int_where_integral(x for v in kern for x in v)
+        assert kern == fraction_kernel(rows)
+
+        x = solve(a, rhs)
+        assert x == fraction_solve(rows, rhs)
+        if x is not None:
+            assert_int_where_integral(x)
+
+    def test_subalgebra_rows(self):
+        b = derivation_basis()
+        taus = [(0, 0, 0), (1, 0, -1), (1, 1, -2), (1, 2, -3), (F(1, 2), F(1, 2), -1)]
+        subalgebras = [centralizer(tau) for tau in taus] + [
+            fixed_subalgebra(gamma_matrix(), b),
+            stabilizer_subalgebra(Octonion.basis(1), b),
+        ]
+        for rows in subalgebras:
+            assert rows
+            assert_int_where_integral(x for row in rows for x in row)
 
 
 class TestSolve:

@@ -74,6 +74,18 @@ class TestCartanElement:
         with pytest.raises(SumNonzeroError):
             CartanElement.of(1, 1, 1)
 
+    @oracle_settings
+    @given(fractions_9, fractions_9, st.one_of(st.just(F(0)), fractions_9))
+    def test_sum_check_agrees_with_the_fraction_sum(self, a, b, delta):
+        # the check adds cleared integer numerators; the oracle adds the
+        # Fractions, for 9-digit numerators and denominators
+        tau = (a, b, -a - b + delta)
+        if a + b + tau[2] == 0:
+            assert CartanElement(tau).tau == tau
+        else:
+            with pytest.raises(SumNonzeroError, match=r"components must sum to zero, got \("):
+                CartanElement(tau)
+
     def test_zero(self):
         assert CartanElement.of(0, 0, 0).is_zero()
 
