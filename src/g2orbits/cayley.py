@@ -15,17 +15,16 @@ the models and the orientation of the cross product are fixed below; they
 were calibrated once so that both products agree on all 64 basis pairs
 (the agreement is re-verified in the test suite).
 
-Elements of both models keep integer numerators over one common
-denominator, so each product is formed on Python ints and reduced by one
+Elements of both models are ``linalg._IntCoords`` (int numerators over one
+denominator), so each product is formed on Python ints and reduced by one
 gcd; the multiplication table is read off the doubling product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .linalg import Matrix, _cleared, _frac, rank
+from .linalg import Matrix, _IntCoords, rank
 
 
 # componentwise sum and difference of int tuples (quaternions, complex pairs)
@@ -55,52 +54,11 @@ def _qconj(x):
     return (x[0], -x[1], -x[2], -x[3])
 
 
-class _IntCoords:
-    """8 exact rational coordinates, stored as 8 integer numerators ``num``
-    over one positive common denominator ``den``, in lowest terms (the gcd
-    of ``den`` and all of ``num`` is 1), so equal elements have equal
-    fields and all arithmetic runs on Python ints.  ``coords`` returns the
-    8 coordinates as Fractions.  Both octonion models are stored this way.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, coords):
-        coords = tuple(_frac(c) for c in coords)
-        if len(coords) != 8:
-            raise ValueError(f"{type(self).__name__} needs 8 coordinates")
-        # cleared from reduced Fractions, den and num are already coprime
-        self.den, self.num = _cleared(coords)
-
-    @classmethod
-    def _reduced(cls, num, den: int):
-        """The element num/den (den > 0), brought to lowest terms."""
-        g = gcd(den, *num)
-        x = object.__new__(cls)
-        x.num, x.den = tuple(v // g for v in num), den // g
-        return x
-
-    @property
-    def coords(self) -> tuple:
-        den = self.den
-        return tuple(Fraction(v, den) for v in self.num)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__name__, ", ".join(str(c) for c in self.coords))
-
-
 class Octonion(_IntCoords):
     """An octonion with 8 exact rational coordinates over e0..e7."""
 
     __slots__ = ()
+    SIZE = 8
 
     @classmethod
     def zero(cls) -> "Octonion":
@@ -151,9 +109,6 @@ class Octonion(_IntCoords):
         c = self.num
         return Octonion._reduced((c[0],) + tuple(-a for a in c[1:]), self.den)
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
 
 def inner(x: Octonion, y: Octonion) -> Fraction:
     """Standard inner product making e0..e7 orthonormal."""
@@ -164,10 +119,22 @@ def norm(x: Octonion) -> Fraction:
     return inner(x, x)
 
 
+#: the diagonal signs of gamma and gamma1, for the maps and their matrices
+_GAMMA_SIGNS = (1, 1, 1, 1, -1, -1, -1, -1)
+_GAMMA1_SIGNS = (1, -1, 1, -1, 1, -1, 1, -1)
+
+
+def _signed(signs, x: Octonion) -> Octonion:
+    return Octonion._reduced([s * v for s, v in zip(signs, x.num)], x.den)
+
+
+def _diag_matrix(signs) -> Matrix:
+    return Matrix(8, 8, [signs[i] if i == j else 0 for i in range(8) for j in range(8)])
+
+
 def gamma(x: Octonion) -> Octonion:
     """The automorphism a + b*e4 -> a - b*e4 (negates coordinates 4..7)."""
-    c = x.num
-    return Octonion._reduced(c[:4] + tuple(-a for a in c[4:]), x.den)
+    return _signed(_GAMMA_SIGNS, x)
 
 
 def gamma1(x: Octonion) -> Octonion:
@@ -175,19 +142,15 @@ def gamma1(x: Octonion) -> Octonion:
 
     On real coordinates it fixes e0, e2, e4, e6 and negates e1, e3, e5, e7.
     """
-    return Octonion._reduced([-v if i % 2 else v for i, v in enumerate(x.num)], x.den)
-
-
-def _diag_matrix(signs) -> Matrix:
-    return Matrix(8, 8, [signs[i] if i == j else 0 for i in range(8) for j in range(8)])
+    return _signed(_GAMMA1_SIGNS, x)
 
 
 def gamma_matrix() -> Matrix:
-    return _diag_matrix((1, 1, 1, 1, -1, -1, -1, -1))
+    return _diag_matrix(_GAMMA_SIGNS)
 
 
 def gamma1_matrix() -> Matrix:
-    return _diag_matrix((1, -1, 1, -1, 1, -1, 1, -1))
+    return _diag_matrix(_GAMMA1_SIGNS)
 
 
 def _build_table():
@@ -209,20 +172,13 @@ def _build_table():
 MULT_TABLE = _build_table()
 
 
-def apply_matrix(m: Matrix, x: Octonion) -> Octonion:
-    """Apply an 8x8 rational matrix to octonion coordinates."""
-    if (m.rows, m.cols) != (8, 8):
-        raise ValueError("need an 8x8 matrix")
-    return Octonion(m.apply(x.coords))
-
-
 def is_automorphism_matrix(m: Matrix) -> bool:
     """Exact check that an 8x8 rational matrix is an algebra automorphism."""
     if (m.rows, m.cols) != (8, 8):
         return False
     if rank(m) != 8:
         return False
-    images = [apply_matrix(m, Octonion.basis(i)) for i in range(8)]
+    images = [Octonion(col) for col in zip(*m.row_lists())]  # m e_i, column i
     for i in range(8):
         for j in range(8):
             k, sign = MULT_TABLE[i][j]
@@ -252,6 +208,7 @@ class ComplexModelElement(_IntCoords):
     """
 
     __slots__ = ()
+    SIZE = 8
 
     def __mul__(self, other):
         if not isinstance(other, ComplexModelElement):

@@ -38,9 +38,9 @@ from .derivations import (
     stabilizer_subalgebra,
     subalgebra_structure,
 )
-from .linalg import Matrix, det, kernel_basis, rref
+from .linalg import Matrix, det, kernel_basis, rank
 from .orbits import classify, scan
-from .roots import CartanElement, root_system, weyl_reflect
+from .roots import TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_system, weyl_reflect
 
 
 @lru_cache(maxsize=1)
@@ -78,10 +78,10 @@ def check_01_derivation_dimension() -> str:
     kern = kernel_basis(system)
     elapsed = time.perf_counter() - t0
     assert len(kern) == 14, f"nullity {len(kern)} != 14"
-    red, pivots = rref(system)
-    assert len(pivots) == 50, f"rank {len(pivots)} != 50"
+    r = rank(system)
+    assert r == 50, f"rank {r} != 50"
     assert elapsed < 5.0, f"kernel computation took {elapsed:.2f}s (budget 5s)"
-    return f"nullity 14, rank 50, kernel in {elapsed:.2f}s"
+    return "nullity 14, rank 50, kernel within the 5s budget"
 
 
 def check_02_four_orbit_types() -> str:
@@ -123,8 +123,6 @@ def check_04_root_system() -> str:
     assert len(short) == 6 and len(long_) == 6, "length classes not 6+6"
     ratio = Fraction(long_[0].killing_sq_length, short[0].killing_sq_length)
     assert ratio == 3, f"length ratio {ratio} != 3"
-    from .roots import TAU_H1, TAU_H2, canonical_root_coeffs
-
     by_coeffs = {r.coeffs: r for r in roots}
     for r in roots:
         for rp in roots:

@@ -67,13 +67,6 @@ class Derivation:
         formed."""
         return not any(leibniz_system().apply(self.flat()))
 
-    def kills_unit(self) -> bool:
-        return self.apply(Octonion.basis(0)).is_zero()
-
-    def is_skew(self) -> bool:
-        m = self.matrix
-        return all(m.entry(i, j) == -m.entry(j, i) for i in range(8) for j in range(i, 8))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
@@ -205,16 +198,12 @@ class G2AlgebraBasis:
         return Matrix.from_rows(out)
 
     def killing_gram(self) -> Matrix:
-        """Gram matrix of the Killing form on the basis (symmetric)."""
+        """Gram matrix of the Killing form on the basis (symmetric), from the
+        nonzero constants: tr(ad D_i ad D_j) = sum_kl c[i][k][l] c[j][l][k]."""
         if self._gram is None:
-            ads = [adjoint_matrix(d, self) for d in self.basis]
-            n = self.dim
-            g = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    t = (ads[i] * ads[j]).trace()
-                    g[i][j] = t
-                    g[j][i] = t
+            c = self.structure_constants
+            nz = [[(k, l, v) for k, cik in enumerate(ci) for l, v in enumerate(cik) if v] for ci in c]
+            g = [[sum(v * cj[l][k] for k, l, v in nzi) for cj in c] for nzi in nz]
             self._gram = Matrix.from_rows(g)
         return self._gram
 

@@ -12,7 +12,8 @@ bit-for-bit equal outputs.  Kernel bases are canonical (the unique
 reduced echelon basis of the null space, leading entries 1).  The
 determinant is Bareiss elimination on the same clearing, so an int
 matrix has an int determinant.  Products, traces and matrix-vector
-products of int matrices stay int.
+products of int matrices stay int.  :class:`_IntCoords`, int numerators
+over one denominator, stores octonions (both models) and Cartan triples.
 """
 
 from __future__ import annotations
@@ -160,6 +161,51 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
+
+
+class _IntCoords:
+    """``SIZE`` exact rational coordinates, stored as int numerators
+    ``num`` over one positive common denominator ``den``, in lowest terms
+    (the gcd of ``den`` and all of ``num`` is 1), so equal values have
+    equal fields and all arithmetic runs on Python ints.  ``coords``
+    returns the coordinates as Fractions.  Each subclass sets ``SIZE``.
+    """
+
+    __slots__ = ("num", "den")
+    SIZE: int
+
+    def __init__(self, coords):
+        coords = tuple(_frac(c) for c in coords)
+        if len(coords) != self.SIZE:
+            raise ValueError(f"{type(self).__name__} needs {self.SIZE} coordinates")
+        # cleared from reduced Fractions, den and num are already coprime
+        self.den, self.num = _cleared(coords)
+
+    @classmethod
+    def _reduced(cls, num, den: int):
+        """The value num/den (den > 0), brought to lowest terms."""
+        g = gcd(den, *num)
+        x = object.__new__(cls)
+        x.num, x.den = tuple(v // g for v in num), den // g
+        return x
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(str(c) for c in self.coords))
 
 
 # ---------------------------------------------------------------------------

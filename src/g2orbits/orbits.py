@@ -10,9 +10,9 @@ The two 4-dimensional cases are distinguished by the Killing length class of
 the vanishing root pair, which is Weyl invariant.  Display labels for the two
 length classes are attached through a naming convention flag, since the
 pairing of labels with length classes is presentation, not mathematics.
-The vanishing roots are found with int dot products (a rational tau is
-cleared to integers first), and a lattice census streams its rows through
-the same memo without holding per-point data.
+The vanishing roots are found with int dot products (on a rational tau's
+stored numerators), and a lattice census streams its rows through the
+same memo without holding per-point data.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .derivations import (
     killing_form,
 )
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _cleared, _frac, _quotient, kernel_basis, solve
+from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, kernel_basis, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -34,43 +34,35 @@ TAU_H2 = (0, 1, -1)
 TAU_GENERIC = (1, -4, 3)
 
 
-class CartanElement:
-    """A traceless rational triple (t1, t2, t3), t1+t2+t3 = 0."""
+class CartanElement(_IntCoords):
+    """A traceless rational triple (t1, t2, t3), t1+t2+t3 = 0, stored like an
+    Octonion (``num`` over ``den``); ``tau`` is the triple as Fractions."""
 
-    __slots__ = ("tau",)
+    __slots__ = ()
+    SIZE = 3
 
     def __init__(self, tau):
-        tau = tuple(_frac(x) for x in tau)
-        if len(tau) != 3:
-            raise ValueError("a Cartan element needs 3 components")
-        if sum(_cleared(tau)[1]) != 0:
-            raise SumNonzeroError(f"components must sum to zero, got {tau}")
-        self.tau = tau
+        super().__init__(tau)
+        self._traceless()
+
+    def _traceless(self) -> "CartanElement":
+        """self, or SumNonzeroError when the components do not sum to zero."""
+        if sum(self.num):
+            raise SumNonzeroError(f"components must sum to zero, got {self.tau}")
+        return self
+
+    tau = _IntCoords.coords
 
     @classmethod
     def of(cls, t1, t2, t3) -> "CartanElement":
         return cls((t1, t2, t3))
 
-    def is_zero(self) -> bool:
-        return not any(self.tau)
-
     def scaled(self, c) -> "CartanElement":
         c = _frac(c)
-        return CartanElement(tuple(c * t for t in self.tau))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CartanElement):
-            return NotImplemented
-        return self.tau == other.tau
-
-    def __hash__(self):
-        return hash(self.tau)
+        return CartanElement._reduced([c.numerator * v for v in self.num], c.denominator * self.den)
 
     def __iter__(self):
         return iter(self.tau)
-
-    def __repr__(self) -> str:
-        return "CartanElement(%s, %s, %s)" % self.tau
 
 
 def _coerce_cartan(tau) -> CartanElement:
@@ -82,10 +74,9 @@ def _rotation_matrix(tau) -> Matrix:
 
     The three complex coordinate planes are (e2,e3), (e4,e5), (e6,e7); the
     third plane carries the conjugated identification (m3 = x6 - x7*i), so
-    its rotation block has the opposite sign.  Integral rates are taken
-    as ints, so an integer tau gives an int matrix.
+    its rotation block has the opposite sign.
     """
-    t1, t2, t3 = (_quotient(t.numerator, t.denominator) for t in tau)
+    t1, t2, t3 = tau
     rows = [[0] * 8 for _ in range(8)]
     rows[2][3] = -t1
     rows[3][2] = t1
@@ -116,9 +107,10 @@ def cartan_basis():
 
 
 def cartan_element(tau) -> Derivation:
-    """The derivation realizing a traceless triple (block rotation rates)."""
+    """The derivation realizing a traceless triple (block rotation rates,
+    ints where integral, so an integer tau gives an int matrix)."""
     tau = _coerce_cartan(tau)
-    return Derivation(_rotation_matrix(tau.tau))
+    return Derivation(_rotation_matrix([_quotient(v, tau.den) for v in tau.num]))
 
 
 @dataclass(frozen=True)
@@ -130,9 +122,11 @@ class Root:
     killing_sq_length: Fraction
     length_class: str  # "short" or "long"
 
-    def value(self, tau) -> Fraction:
-        t = tau.tau if isinstance(tau, CartanElement) else tau
-        return self.coeffs[0] * t[0] + self.coeffs[1] * t[1] + self.coeffs[2] * t[2]
+    def value(self, tau):
+        """sum_i a_i t_i; on a CartanElement an int dot product over its den."""
+        if isinstance(tau, CartanElement):
+            return _quotient(self.value(tau.num), tau.den)
+        return self.coeffs[0] * tau[0] + self.coeffs[1] * tau[1] + self.coeffs[2] * tau[2]
 
 
 def canonical_root_coeffs(a) -> tuple:
@@ -252,11 +246,11 @@ def roots_vanishing_on(t1: int, t2: int, t3: int) -> tuple:
 def vanishing_roots(tau):
     """The roots of root_system() vanishing on tau (always an even count).
 
-    A rational tau is first cleared to integers by the lcm of its
-    denominators; the scale is positive and a root vanishes on tau exactly
-    when it vanishes on any positive multiple of it.
+    They are read off tau's stored int numerators: its denominator is
+    positive, and a root vanishes on tau exactly when it vanishes on any
+    positive multiple of it.
     """
-    return roots_vanishing_on(*_cleared(_coerce_cartan(tau).tau)[1])
+    return roots_vanishing_on(*_coerce_cartan(tau).num)
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +271,11 @@ def weyl_reflect(root: Root, tau) -> CartanElement:
 
     Computed via the Killing form: s_r(H) = H - 2 B(H, H_r)/B(H_r, H_r) H_r
     with H_r the Killing-dual of the root, expressed in tau coordinates;
-    the root's part of it is computed once per root.  tau is cleared to
-    integers and the root value taken as an int dot product, so each
-    output coordinate is one Fraction.
+    the root's part of it is computed once per root.  The image is formed
+    on tau's int numerators, with the root value an int dot product.
     """
-    scale, t = _cleared(_coerce_cartan(tau).tau)
+    tau = _coerce_cartan(tau)
     den, w = _reflection_vector(root)
-    v = root.value(t)
-    return CartanElement(tuple(Fraction(ti * den - v * wi, scale * den) for ti, wi in zip(t, w)))
+    v = root.value(tau.num)
+    image = [ti * den - v * wi for ti, wi in zip(tau.num, w)]
+    return CartanElement._reduced(image, tau.den * den)._traceless()

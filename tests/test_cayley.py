@@ -280,6 +280,14 @@ class TestFractionOracle:
         assert gamma1(x).coords == tuple(-v if i % 2 else v for i, v in enumerate(xs))
 
     @oracle_settings
+    @given(coords_9)
+    def test_gamma_and_gamma1_agree_with_their_matrices(self, xs):
+        # each involution and its matrix come from one sign tuple
+        x = Octonion(xs)
+        for f, m in ((gamma, gamma_matrix()), (gamma1, gamma1_matrix())):
+            assert f(x) == Octonion(m.apply(x.coords))
+
+    @oracle_settings
     @given(coords_9, coords_9)
     def test_complex_model_product(self, xs, ys):
         x, y = Octonion(xs), Octonion(ys)

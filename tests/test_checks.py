@@ -3,6 +3,7 @@ check 9 fails on a broken algebra, needs no 8x8 bracket and agrees with
 the forms it replaced."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,20 @@ def test_octonion_draws_equal_the_fraction_built_ones():
         y = Octonion([checks._random_fraction(old) for _ in range(8)])
         assert (x.num, x.den) == (y.num, y.den)
     assert new.random() == old.random()
+
+
+class TestCheck01:
+    def test_detail_is_fixed(self):
+        # no wall time in the PASS line, so `check` stdout is reproducible
+        detail = "nullity 14, rank 50, kernel within the 5s budget"
+        assert checks.check_01_derivation_dimension() == detail
+        assert checks.check_01_derivation_dimension() == detail
+
+    def test_kernel_past_the_budget_fails(self, monkeypatch):
+        clock = iter([100.0, 106.25])
+        monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        with pytest.raises(AssertionError, match=r"took 6\.25s \(budget 5s\)"):
+            checks.check_01_derivation_dimension()
 
 
 def patched_basis(monkeypatch, structure=None, gram=None):

@@ -56,6 +56,32 @@ def leibniz_by_products(d):
     return True
 
 
+def kills_unit(d):
+    """D e0 = 0: a derivation kills the unit."""
+    return d.apply(Octonion.basis(0)).is_zero()
+
+
+def is_skew(d):
+    """The matrix of d is antisymmetric, diagonal included."""
+    m = d.matrix
+    return all(m.entry(i, j) == -m.entry(j, i) for i in range(8) for j in range(i, 8))
+
+
+def killing_gram_by_ad_products(b):
+    """G2AlgebraBasis.killing_gram before the sum over the structure
+    constants replaced it: tr(ad_i ad_j) through 105 products of 14x14
+    adjoint matrices."""
+    ads = [adjoint_matrix(d, b) for d in b.basis]
+    n = b.dim
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t = (ads[i] * ads[j]).trace()
+            g[i][j] = t
+            g[j][i] = t
+    return Matrix.from_rows(g)
+
+
 def structure_by_matrices(s):
     """The fingerprint of the derivations s from brackets of 8x8
     matrices: the form subalgebra_structure had before it moved to the
@@ -218,8 +244,8 @@ class TestBasis:
         for d in derivation_basis().basis:
             assert d.satisfies_leibniz()
             assert leibniz_by_products(d)
-            assert d.kills_unit()
-            assert d.is_skew()
+            assert kills_unit(d)
+            assert is_skew(d)
 
     def test_basis_independent(self):
         b = derivation_basis()
@@ -364,6 +390,21 @@ class TestKillingForm:
             y = random_element(b, rng, -2, 2)
             z = random_element(b, rng, -2, 2)
             assert killing_form(bracket(z, x), y, b) + killing_form(x, bracket(z, y), b) == 0
+
+    def test_gram_matches_the_ad_products(self, monkeypatch):
+        # a fresh basis fills its Gram matrix from the structure constants,
+        # with no Matrix product; the 14x14 products are the oracle
+        b = derivation_basis()
+        oracle = killing_gram_by_ad_products(b)
+        fresh = G2AlgebraBasis(b.basis, b.structure_constants, b._pivots)
+
+        def forbidden(*args):
+            raise AssertionError("killing_gram formed a Matrix product")
+
+        monkeypatch.setattr(Matrix, "__mul__", forbidden)
+        gram = fresh.killing_gram()
+        assert gram == oracle
+        assert all(type(v) is int for v in gram.entries)
 
     def test_matches_trace_definition(self):
         # dual route: the Gram evaluation must equal tr(ad x ad y)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from g2orbits.roots import (
     vanishing_roots,
     weyl_reflect,
 )
-from test_derivations import leibniz_by_products
+from test_derivations import is_skew, kills_unit, leibniz_by_products
 
 
 def F(n, d=1):
@@ -97,6 +98,62 @@ class TestCartanElement:
             CartanElement.of(1, 0, -1).scaled(0.1)
 
 
+class TestStoredLikeOctonions:
+    """CartanElement keeps int numerators over one denominator, like an
+    Octonion; tau is their Fraction view."""
+
+    @oracle_settings
+    @given(fractions_9, fractions_9, st.integers(-NINE_DIGITS, NINE_DIGITS))
+    def test_fields_equality_hash_and_root_values(self, a, b, k):
+        triple = (a, b, -a - b)
+        built = [
+            CartanElement(triple),
+            CartanElement(tuple(str(t) for t in triple)),
+            CartanElement(tuple(2 * t for t in triple)).scaled(F(1, 2)),
+        ]
+        for tau in built:
+            assert tau.tau == triple and all(type(t) is Fraction for t in tau.tau)
+            assert tau.den > 0 and gcd(tau.den, *tau.num) == 1
+            assert tuple(F(n, tau.den) for n in tau.num) == triple
+            assert tau == built[0] and hash(tau) == hash(built[0])
+        ints = CartanElement.of(k, -2 * k, k)
+        assert ints.tau == (k, -2 * k, k) and (ints.num, ints.den) == ((k, -2 * k, k), 1)
+        for r in root_system():
+            for tau in (built[0], ints):
+                v = r.value(tau)
+                assert v == sum(c * t for c, t in zip(r.coeffs, tau.tau))
+                assert type(v) is (int if F(v).denominator == 1 else Fraction)
+
+    def test_repr_and_zero(self):
+        assert repr(CartanElement.of(1, 0, -1)) == "CartanElement(1, 0, -1)"
+        assert repr(CartanElement.of(F(1, 2), F(1, 2), -1)) == "CartanElement(1/2, 1/2, -1)"
+        assert CartanElement.of(0, 0, 0).scaled(F(5, 7)) == CartanElement.of(0, 0, 0)
+        assert CartanElement.of(F(1, 2), 0, F(-1, 2)).scaled(0).is_zero()
+
+    def test_rational_tau_needs_no_fraction_in_roots(self, monkeypatch):
+        taus = [
+            CartanElement.of(F(1, 2), F(-1, 3), F(-1, 6)),
+            CartanElement.of(F(2, 5), 0, F(-2, 5)),
+            CartanElement.of(F(3, 7), F(3, 7), F(-6, 7)),
+            CartanElement.of(0, 0, 0),
+        ]
+        expected = [
+            (vanishing_by_fractions(tau), [reflect_by_solve(r, tau) for r in root_system()])
+            for tau in taus
+        ]
+        for r in root_system():
+            weyl_reflect(r, taus[0])  # the reflection vectors are cached
+
+        def forbidden(*args):
+            raise AssertionError("roots cleared or built a Fraction for a stored tau")
+
+        monkeypatch.setattr(roots, "_cleared", forbidden)
+        monkeypatch.setattr(roots, "Fraction", forbidden)
+        for tau, (van, images) in zip(taus, expected):
+            assert vanishing_roots(tau) == van
+            assert [weyl_reflect(r, tau) for r in root_system()] == images
+
+
 class TestCartanBasis:
     def test_generators_commute(self):
         h1, h2 = cartan_basis()
@@ -106,8 +163,8 @@ class TestCartanBasis:
         for h in cartan_basis():
             assert h.satisfies_leibniz()
             assert leibniz_by_products(h)
-            assert h.kills_unit()
-            assert h.is_skew()
+            assert kills_unit(h)
+            assert is_skew(h)
 
     def test_in_span_and_independent(self):
         b = derivation_basis()
