@@ -29,7 +29,6 @@ from .derivations import (
     derivation_basis,
     exp_derivation_numeric,
     fixed_subalgebra,
-    killing_form,
     leibniz_system,
     stabilizer_subalgebra,
     subalgebra_structure,
@@ -99,7 +98,6 @@ __all__ = [
     "gamma_matrix",
     "inner",
     "kernel_basis",
-    "killing_form",
     "leibniz_system",
     "norm",
     "rank",

@@ -248,20 +248,9 @@ def derivation_basis() -> G2AlgebraBasis:
 
 
 def adjoint_matrix(d: Derivation, b: G2AlgebraBasis) -> Matrix:
-    """Matrix of X -> [d, X] in the basis b.
-
-    d must lie in the span of b (checked exactly); the matrix is
-    :meth:`G2AlgebraBasis.ad` of its coordinates.
-    """
+    """Matrix of X -> [d, X] in the basis b, for a d in its span (checked
+    exactly): :meth:`G2AlgebraBasis.ad` of the coordinates of d."""
     return b.ad(b.coordinates(d))
-
-
-def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis):
-    """Killing form tr(ad x ad y), evaluated bilinearly on the Gram matrix."""
-    cx, cy, g = b.coordinates(x), b.coordinates(y), b.killing_gram()
-    return sum(
-        xi * g.entry(i, j) * yj for i, xi in enumerate(cx) if xi for j, yj in enumerate(cy) if yj
-    )
 
 
 def _kernel_of_images(images):
@@ -376,12 +365,15 @@ def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16):
     matrix t d is halved until its row-sum norm is at most 1/2, the Taylor
     series of degree ``terms`` (>= 12 by contract) runs by Horner's rule,
     and the result is squared back; it is approximately orthogonal and
-    approximately an algebra automorphism.  A non-finite t raises
-    ValueError.
+    approximately an algebra automorphism.  A non-finite t, or one too
+    large for a float, raises ValueError.
     """
     if terms < 12:
         raise ValueError("series degree must be at least 12")
-    t = float(t)
+    try:
+        t = float(t)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        t = math.inf
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     a = [[float(x) * t for x in d.matrix.row(i)] for i in range(8)]

@@ -4,8 +4,9 @@ The centralizer of a Cartan element is the Cartan subalgebra plus the root
 spaces of the roots vanishing on it, so classification is keyed by the
 vanishing roots (8 possible sets), and each set's stabilizer dimension is
 computed exactly once, from the exact rank of one representative's adjoint
-matrix.  It is 14 (zero element), 4 (exactly one root pair vanishes) or 2
-(generic); anything else aborts with InternalInvariantError.
+matrix t1 ad(H1) - t3 ad(H2), formed in the 14 coordinates (no 8x8 matrix
+is built here).  It is 14 (zero element), 4 (exactly one root pair
+vanishes) or 2 (generic); anything else aborts with InternalInvariantError.
 The two 4-dimensional cases are distinguished by the Killing length class of
 the vanishing root pair, which is Weyl invariant.  Display labels for the two
 length classes are attached through a naming convention flag, since the
@@ -23,19 +24,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .derivations import (
-    SubalgebraSummary,
-    adjoint_matrix,
-    derivation_basis,
-    subalgebra_structure,
-)
+from .derivations import G2_DIM, SubalgebraSummary, derivation_basis, subalgebra_structure
 from .errors import InternalInvariantError
 from .linalg import kernel_basis, rank
 from .roots import (
     TAU_GENERIC,
     CartanElement,
     _coerce_cartan,
-    cartan_element,
+    cartan_adjoint,
     roots_vanishing_on,
     vanishing_roots,
 )
@@ -101,7 +97,7 @@ class ClassificationReport:
 def centralizer(tau):
     """Canonical basis of the derivations commuting with cartan_element(tau),
     as 14-coordinate rows in derivation_basis()."""
-    return kernel_basis(adjoint_matrix(cartan_element(tau), derivation_basis()))
+    return kernel_basis(cartan_adjoint(tau))
 
 
 def _representative(van: tuple):
@@ -124,8 +120,7 @@ def _stabilizer(van: tuple):
     """(stabilizer_dim, orbit_type) of every tau on which exactly the roots
     van vanish, from the exact rank of the adjoint matrix of one such
     representative."""
-    b = derivation_basis()
-    dim = b.dim - rank(adjoint_matrix(cartan_element(_representative(van)), b))
+    dim = G2_DIM - rank(cartan_adjoint(_representative(van)))
     if dim not in (2, 4, 14) or dim != 2 + len(van):
         raise InternalInvariantError(f"stabilizer dimension {dim} with {len(van)} vanishing roots")
     if dim == 14:

@@ -2,10 +2,12 @@
 
 The Cartan subalgebra is the rank-2 space of derivations that act on the
 complex-model vector part as i*diag(t1, t2, t3) with t1+t2+t3 = 0 (and kill
-the scalar part).  Each root pair acts on a real plane of the algebra, on
-which ad(H)^2 = -alpha(H)^2; the roots are read off exact rational kernels
-of ad(H*)^2 + v^2 for a generic H*, so no complex scalars and no floating
-point are involved.
+the scalar part).  Only its generators H1, H2 are built as 8x8 matrices,
+each read off the derivation basis once; every other Cartan element enters
+as ad(tau) = t1 ad(H1) - t3 ad(H2) in the 14 coordinates.  Each root pair
+acts on a real plane of the algebra, on which ad(H)^2 = -alpha(H)^2; the
+roots are read off exact rational kernels of ad(H*)^2 + v^2 for a generic
+H*, so no complex scalars and no floating point are involved.
 Squared root lengths are measured in the positive-definite form -B (B is
 the Killing form, negative definite here), so "short" is the minimum.
 """
@@ -17,12 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .derivations import (
-    Derivation,
-    adjoint_matrix,
-    derivation_basis,
-    killing_form,
-)
+from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
 from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, kernel_basis, solve
 
@@ -113,6 +110,26 @@ def cartan_element(tau) -> Derivation:
     return Derivation(_rotation_matrix([_quotient(v, tau.den) for v in tau.num]))
 
 
+@lru_cache(maxsize=1)
+def _cartan_ad() -> tuple:
+    """ad(H1) and ad(H2) as int matrices, read off derivation_basis() once."""
+    b = derivation_basis()
+    return tuple(b.ad(b.coordinates(h)) for h in cartan_basis())
+
+
+def cartan_adjoint(tau) -> Matrix:
+    """The exact matrix of ad(cartan_element(tau)) in derivation_basis().
+
+    tau = t1 H1 - t3 H2, so the matrix is t1 ad(H1) - t3 ad(H2), formed on
+    tau's int numerators over its den: an int wherever it is integral.
+    """
+    tau = _coerce_cartan(tau)
+    n1, _, n3 = tau.num
+    ad1, ad2 = _cartan_ad()
+    entries = [_quotient(n1 * x - n3 * y, tau.den) for x, y in zip(ad1.entries, ad2.entries)]
+    return Matrix(ad1.rows, ad1.cols, entries)
+
+
 @dataclass(frozen=True)
 class Root:
     """A root of the Cartan action: the functional sum_i a_i t_i on the
@@ -145,13 +162,9 @@ def canonical_root_coeffs(a) -> tuple:
 
 @lru_cache(maxsize=1)
 def _cartan_gram() -> Matrix:
-    """2x2 Killing Gram matrix of (H1, H2)."""
-    b = derivation_basis()
-    h1, h2 = cartan_basis()
-    g11 = killing_form(h1, h1, b)
-    g12 = killing_form(h1, h2, b)
-    g22 = killing_form(h2, h2, b)
-    return Matrix.from_rows([[g11, g12], [g12, g22]])
+    """2x2 Killing Gram matrix of (H1, H2): tr(ad H_i ad H_j)."""
+    ads = _cartan_ad()
+    return Matrix.from_rows([[(x * y).trace() for y in ads] for x in ads])
 
 
 def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
@@ -171,13 +184,9 @@ def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
 @lru_cache(maxsize=1)
 def root_system():
     """All 12 roots of the derivation algebra with exact Killing lengths,
-    sorted by coefficients.  Computed once from derivation_basis()."""
-    b = derivation_basis()
-    h_star = cartan_element(CartanElement(TAU_GENERIC))
-    ad_star = adjoint_matrix(h_star, b)
-    h1, h2 = cartan_basis()
-    ad1 = adjoint_matrix(h1, b)
-    ad2 = adjoint_matrix(h2, b)
+    sorted by coefficients.  Computed once from ad(H1) and ad(H2)."""
+    ad_star = cartan_adjoint(TAU_GENERIC)
+    ad1, ad2 = _cartan_ad()
 
     zero_dim = len(kernel_basis(ad_star))
     if zero_dim != 2:
@@ -185,13 +194,12 @@ def root_system():
             f"generic Cartan element has centralizer dimension {zero_dim}, expected 2"
         )
 
-    # the squared root values sum to -B(H*, H*), which bounds the integer scan
-    total = -killing_form(h_star, h_star, b)
-    vmax = isqrt(int(total))
+    # the squared root values sum to -B(H*, H*) = -tr(ad(H*)^2): the scan bound
+    square = ad_star * ad_star
+    vmax = isqrt(-square.trace())
 
     gram = _cartan_gram()
-    square = ad_star * ad_star
-    eye = Matrix.identity(b.dim)
+    eye = Matrix.identity(G2_DIM)
     raw = []
     for v in range(1, vmax + 1):
         kern = kernel_basis(square + eye * (v * v))
@@ -208,7 +216,7 @@ def root_system():
         for s1, s2 in ((r1, r2), (-r1, -r2)):
             raw.append((canonical_root_coeffs((s1, 0, -s2)), s1, s2))
 
-    if len(raw) + zero_dim != b.dim:
+    if len(raw) + zero_dim != G2_DIM:
         raise InternalInvariantError(
             f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra"
         )

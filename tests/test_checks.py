@@ -14,9 +14,9 @@ from g2orbits.derivations import (
     adjoint_matrix,
     bracket,
     derivation_basis,
-    killing_form,
 )
 from g2orbits.linalg import Matrix
+from test_derivations import killing_form
 
 
 def test_octonion_draws_equal_the_fraction_built_ones():

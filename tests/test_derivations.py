@@ -15,7 +15,6 @@ from g2orbits.derivations import (
     derivation_basis,
     exp_derivation_numeric,
     fixed_subalgebra,
-    killing_form,
     leibniz_system,
     stabilizer_subalgebra,
     subalgebra_structure,
@@ -65,6 +64,14 @@ def is_skew(d):
     """The matrix of d is antisymmetric, diagonal included."""
     m = d.matrix
     return all(m.entry(i, j) == -m.entry(j, i) for i in range(8) for j in range(i, 8))
+
+
+def killing_form(x: Derivation, y: Derivation, b: G2AlgebraBasis):
+    """Killing form tr(ad x ad y), evaluated bilinearly on the Gram matrix."""
+    cx, cy, g = b.coordinates(x), b.coordinates(y), b.killing_gram()
+    return sum(
+        xi * g.entry(i, j) * yj for i, xi in enumerate(cx) if xi for j, yj in enumerate(cy) if yj
+    )
 
 
 def killing_gram_by_ad_products(b):
@@ -579,7 +586,16 @@ class TestExpNumeric:
         with pytest.raises(ValueError):
             exp_derivation_numeric(Derivation.zero(), 1.0, terms=8)
 
-    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "t",
+        [
+            float("inf"),
+            float("-inf"),
+            float("nan"),
+            pytest.param(10**400, id="int_10e400"),
+            pytest.param(Fraction(10**400, 3), id="fraction_10e400_over_3"),
+        ],
+    )
     def test_non_finite_time_rejected(self, t):
         d = derivation_basis().basis[0]
         with pytest.raises(ValueError):

@@ -70,6 +70,41 @@ def test_lcm_only_in_linalg_and_checks(path):
     assert _lcm_uses(path.read_text()) == []
 
 
+# a Cartan element is built as an 8x8 rotation and read back off the basis
+# only at the edges; inside the package ad(tau) comes from roots.cartan_adjoint
+EDGE_ONLY = {"adjoint_matrix", "cartan_element"}
+
+
+def _edge_calls(source: str):
+    """(line, name) of every call of adjoint_matrix or cartan_element, by
+    bare name or as an attribute; definitions and imports do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in EDGE_ONLY:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_detector_sees_an_edge_call():
+    src = (
+        "from .derivations import adjoint_matrix\n"
+        "def cartan_element(tau):\n"
+        "    return tau\n"
+        "ad = adjoint_matrix(cartan_element(tau), b)\n"
+        "f = roots.cartan_element\n"
+        "ad = derivations.adjoint_matrix(d, b)\n"
+    )
+    assert _edge_calls(src) == [(4, "adjoint_matrix"), (4, "cartan_element"), (6, "adjoint_matrix")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_cartan_rotation_only_at_the_edge(path):
+    assert _edge_calls(path.read_text()) == []
+
+
 def _import_time_modules(source: str):
     """Top-level names of the modules a module imports when it is itself
     imported: every import outside a function body."""

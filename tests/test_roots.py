@@ -1,21 +1,25 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2orbits import roots
-from g2orbits.derivations import Derivation, adjoint_matrix, bracket, derivation_basis, killing_form
+from g2orbits import orbits, roots
+from g2orbits.derivations import Derivation, G2AlgebraBasis, adjoint_matrix, bracket, derivation_basis
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, kernel_basis, rank, solve
+from g2orbits.orbits import centralizer, classify, lattice_rows, scan
 from g2orbits.roots import (
     TAU_H1,
     TAU_H2,
     CartanElement,
+    _cartan_ad,
     _cartan_gram,
     canonical_root_coeffs,
+    cartan_adjoint,
     cartan_basis,
     cartan_element,
     root_system,
@@ -23,7 +27,7 @@ from g2orbits.roots import (
     vanishing_roots,
     weyl_reflect,
 )
-from test_derivations import is_skew, kills_unit, leibniz_by_products
+from test_derivations import is_skew, killing_form, kills_unit, leibniz_by_products
 
 
 def F(n, d=1):
@@ -36,11 +40,24 @@ def random_cartan(rng):
     return CartanElement.of(t1, t2, -t1 - t2)
 
 
+@lru_cache(maxsize=1)
+def cartan_gram_by_killing_form() -> Matrix:
+    """roots._cartan_gram before it became the trace form of ad(H1) and
+    ad(H2): the Killing form of the 8x8 generators, read off the basis."""
+    b = derivation_basis()
+    h1, h2 = cartan_basis()
+    g11 = killing_form(h1, h1, b)
+    g12 = killing_form(h1, h2, b)
+    g22 = killing_form(h2, h2, b)
+    return Matrix.from_rows([[g11, g12], [g12, g22]])
+
+
 def reflect_by_solve(root, tau):
-    """s_r(tau) with the root's Killing dual solved afresh on every call."""
+    """s_r(tau) with the root's Killing dual solved afresh on every call,
+    on the Gram matrix of the Killing form rather than roots' trace form."""
     rv = (root.value(TAU_H1), root.value(TAU_H2))
-    x = solve(_cartan_gram(), rv)
-    coef = 2 * root.value(tau) / (rv[0] * x[0] + rv[1] * x[1])
+    x = solve(cartan_gram_by_killing_form(), rv)
+    coef = Fraction(2 * root.value(tau), rv[0] * x[0] + rv[1] * x[1])
     return CartanElement(
         tuple(tau.tau[i] - coef * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3))
     )
@@ -245,6 +262,60 @@ class TestCartanElementMap:
     def test_sum_nonzero_rejected(self):
         with pytest.raises(SumNonzeroError):
             cartan_element((1, 1, 1))
+
+
+class TestCartanAdjoint:
+    """ad(tau) = t1 ad(H1) - t3 ad(H2) in the 14 coordinates, against the
+    8x8 rotation of cartan_element(tau) read back off the basis."""
+
+    @oracle_settings
+    @given(rational_taus())
+    def test_equals_the_read_off_rotation(self, tau):
+        old = adjoint_matrix(cartan_element(tau), derivation_basis())
+        ad = cartan_adjoint(tau)
+        assert ad == old
+        assert all(type(v) is (int if F(v).denominator == 1 else Fraction) for v in ad.entries)
+        assert centralizer(tau) == kernel_basis(old)
+
+    def test_generators_are_int_matrices(self):
+        b = derivation_basis()
+        ads = _cartan_ad()
+        assert ads == tuple(adjoint_matrix(h, b) for h in cartan_basis())
+        assert all(type(v) is int for ad in ads for v in ad.entries)
+        assert (cartan_adjoint(TAU_H1), cartan_adjoint(TAU_H2)) == ads
+
+    def test_cartan_gram_is_the_killing_form_of_the_generators(self):
+        gram = _cartan_gram()
+        assert gram == cartan_gram_by_killing_form()
+        assert all(type(v) is int for v in gram.entries)
+
+    def test_roots_and_orbits_build_no_rotation_and_read_none_back(self, monkeypatch):
+        saved = root_system()
+        ball = [CartanElement.of(t1, t2, t3) for t1, t2, t3, _, _ in lattice_rows(3)]
+        expected = [(classify(tau), centralizer(tau)) for tau in ball], scan(6)
+        _cartan_ad()
+        caches = (
+            root_system,
+            _cartan_gram,
+            roots._integer_roots,
+            roots._reflection_vector,
+            orbits._stabilizer,
+            orbits._structure,
+        )
+
+        def forbidden(*args):
+            raise AssertionError("a Cartan element was built as an 8x8 rotation or read off the basis")
+
+        monkeypatch.setattr(roots, "_rotation_matrix", forbidden)
+        monkeypatch.setattr(G2AlgebraBasis, "coordinates", forbidden)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            assert root_system() == saved
+            assert ([(classify(tau), centralizer(tau)) for tau in ball], scan(6)) == expected
+        finally:
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestRootSystem:
