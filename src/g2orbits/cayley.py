@@ -65,14 +65,10 @@ class Octonion(_IntCoords):
         return cls((0,) * 8)
 
     @classmethod
-    def one(cls) -> "Octonion":
-        return cls.basis(0)
-
-    @classmethod
     def basis(cls, i: int) -> "Octonion":
         if not 0 <= i < 8:
             raise ValueError("basis index out of range")
-        return cls(tuple(1 if j == i else 0 for j in range(8)))
+        return cls._reduced(tuple(int(j == i) for j in range(8)), 1)
 
     def __add__(self, other):
         if not isinstance(other, Octonion):
@@ -154,16 +150,15 @@ def gamma1_matrix() -> Matrix:
 
 
 def _build_table():
+    units = [Octonion.basis(i) for i in range(8)]
     tbl = []
-    for i in range(8):
+    for x in units:
         row = []
-        ei = Octonion.basis(i)
-        for j in range(8):
-            p = ei * Octonion.basis(j)
-            nz = [(k, v) for k, v in enumerate(p.coords) if v]
+        for y in units:
+            nz = [(k, v) for k, v in enumerate((x * y).num) if v]
             if len(nz) != 1 or abs(nz[0][1]) != 1:
                 raise AssertionError("basis products must be signed basis elements")
-            row.append((nz[0][0], 1 if nz[0][1] > 0 else -1))
+            row.append(nz[0])  # (k, sign): the product of units has den 1
         tbl.append(tuple(row))
     return tuple(tbl)
 
@@ -182,9 +177,7 @@ def is_automorphism_matrix(m: Matrix) -> bool:
     for i in range(8):
         for j in range(8):
             k, sign = MULT_TABLE[i][j]
-            lhs = images[i] * images[j]
-            rhs = images[k] if sign > 0 else -images[k]
-            if lhs != rhs:
+            if images[i] * images[j] != images[k] * sign:
                 return False
     return True
 

@@ -16,13 +16,12 @@ derivations meet octonions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
-from .linalg import Matrix, kernel_basis, rank, rref
+from .linalg import Matrix, _Record, kernel_basis, rank, rref
 
 G2_DIM = 14
 
@@ -141,14 +140,10 @@ def _read_off(vec, rows, pivots):
     return coeffs if _combine(coeffs, rows, len(vec)) == tuple(vec) else None
 
 
-@dataclass(frozen=True)
-class SubalgebraSummary:
+class SubalgebraSummary(_Record):
     """Structural fingerprint of a bracket-closed set of derivations."""
 
-    dim: int
-    derived_dim: int
-    center_dim: int
-    is_abelian: bool
+    __slots__ = ("dim", "derived_dim", "center_dim", "is_abelian")
 
 
 class G2AlgebraBasis:
@@ -224,18 +219,12 @@ def derivation_basis() -> G2AlgebraBasis:
         )
     if any(v.denominator != 1 for row in kern for v in row):
         raise InternalInvariantError("Leibniz kernel basis is not integral")
-    pivots = []
-    for row in kern:
-        lead = next(idx for idx, v in enumerate(row) if v)
-        pivots.append(lead)
+    pivots = [next(idx for idx, v in enumerate(row) if v) for row in kern]
     basis = [Derivation.from_flat(v) for v in kern]
     sparse = _nonzeros(kern)
 
     n = G2_DIM
-    c = [[None] * n for _ in range(n)]
-    zero_row = (0,) * n
-    for i in range(n):
-        c[i][i] = zero_row
+    c = [[(0,) * n if i == j else None for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             cij = _read_off(bracket(basis[i], basis[j]).flat(), sparse, pivots)

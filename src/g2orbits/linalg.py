@@ -5,24 +5,24 @@ pivot heuristics.  This is the one module where rationals and integers
 cross: :func:`_cleared` writes values as int numerators over their lcm
 denominator, and every value a reduction returns is an int where it is
 integral and a Fraction only where it is not.  The one elimination core
-is fraction-free, on the cleared integer rows (same row space).  It
-always picks the first row (top-down) with a nonzero entry in the current
-column, sweeping columns left to right, so equal inputs produce
-bit-for-bit equal outputs.  Kernel bases are canonical (the unique
+is fraction-free, on the cleared integer rows (same row space), and it
+clears each distinct input row once and sweeps no repeat of a row up to a
+scalar.  It always picks the first row (top-down) with a nonzero entry in
+the current column, sweeping columns left to right, so equal inputs
+produce bit-for-bit equal outputs.  Kernel bases are canonical (the unique
 reduced echelon basis of the null space, leading entries 1).  The
 determinant is Bareiss elimination on the same clearing, so an int
 matrix has an int determinant.  Products, traces and matrix-vector
 products of int matrices stay int.  :class:`_IntCoords`, int numerators
-over one denominator, stores octonions (both models) and Cartan triples.
+over one denominator, stores octonions (both models) and Cartan triples;
+:class:`_Record` is the package's one immutable record base.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Tuple, Union
-
-Scalar = Union[int, Fraction]
+from operator import add, attrgetter, sub
 
 
 def _frac(x) -> Fraction:
@@ -41,7 +41,7 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]):
+    def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
@@ -50,7 +50,7 @@ class Matrix:
         self.entries = entries
 
     @classmethod
-    def from_rows(cls, rows_seq: Sequence[Sequence[Scalar]]) -> "Matrix":
+    def from_rows(cls, rows_seq) -> "Matrix":
         rows_seq = [tuple(r) for r in rows_seq]
         m = len(rows_seq)
         n = len(rows_seq[0]) if m else 0
@@ -65,10 +65,10 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    def entry(self, i: int, j: int) -> Scalar:
+    def entry(self, i: int, j: int) -> int | Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Tuple[Scalar, ...]:
+    def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def row_lists(self):
@@ -81,7 +81,7 @@ class Matrix:
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple:
+    def apply(self, vec) -> tuple:
         """Matrix-vector product M @ v."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -90,13 +90,12 @@ class Matrix:
         n = self.cols
         for i in range(self.rows):
             base = i * n
-            acc = None
+            acc = 0
             for j in range(n):
                 m = e[base + j]
                 if m:
-                    term = m * vec[j]
-                    acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else 0)
+                    acc += m * vec[j]
+            out.append(acc)
         return tuple(out)
 
     def __mul__(self, other):
@@ -122,19 +121,18 @@ class Matrix:
             return Matrix(self.rows, self.cols, [e * other for e in self.entries])
         return NotImplemented
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix(self.rows, self.cols, list(map(op, self.entries, other.entries)))
+
+    def __add__(self, other):
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return Matrix(self.rows, self.cols, [-e for e in self.entries])
@@ -142,7 +140,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def trace(self) -> Scalar:
+    def trace(self) -> int | Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
         return sum(self.entries[i * self.cols + i] for i in range(self.rows))
@@ -150,11 +148,7 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -208,11 +202,44 @@ class _IntCoords:
         return "%s(%s)" % (type(self).__name__, ", ".join(str(c) for c in self.coords))
 
 
+class _Record:
+    """An immutable record of its class's ``__slots__`` (``_defaults`` fills
+    any not given): equal only within its class, hashed and shown by field."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # a tuple: every record has 2+ fields
+
+    def __init__(self, *args, **kwargs):
+        values = {**self._defaults, **dict(zip(self.__slots__, args)), **kwargs}
+        if len(args) > len(self.__slots__) or values.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self._fields(self) == other._fields(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({pairs})"
+
+
 # ---------------------------------------------------------------------------
 # elimination core
 # ---------------------------------------------------------------------------
 
-def _cleared(values) -> Tuple[int, tuple]:
+def _cleared(values) -> tuple:
     """(scale, numerators): rational values (ints or Fractions) as int
     numerators over their least common denominator ``scale`` > 0."""
     scale = lcm(*{v.denominator for v in values})
@@ -221,7 +248,7 @@ def _cleared(values) -> Tuple[int, tuple]:
     return scale, tuple([v.numerator * (scale // v.denominator) for v in values])
 
 
-def _quotient(v: int, d: int) -> Scalar:
+def _quotient(v: int, d: int) -> int | Fraction:
     """v / d (d != 0) as an int when d divides v, else as a Fraction."""
     q, r = divmod(v, d)
     return Fraction(v, d) if r else q
@@ -248,7 +275,7 @@ def _normalize_int_row(row) -> None:
                 row[j] = v // g
 
 
-def _rref_int(rows) -> Tuple[int, ...]:
+def _rref_int(rows) -> tuple:
     """Fraction-free reduced elimination of integer rows, in place.
 
     Returns the pivot columns.  Pivot rule: first row at or below the
@@ -295,29 +322,30 @@ def _rref_int(rows) -> Tuple[int, ...]:
     return tuple(pivots)
 
 
-def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
+def _rref_rows(rows) -> tuple:
     """RREF of a list of rational rows (zero rows last) with the pivot
     columns; each entry an int where integral, else a Fraction.
 
     Zero rows and rows that repeat an earlier row up to a scalar do not
-    change the row space, so only the distinct rows are eliminated: the
-    gcd and sign normalisation of each integer row is its key.  The
-    output is padded back to the input's row count.
+    change the row space, and the RREF is unique, so only the distinct rows
+    are eliminated: exact repeats (2 equals Fraction(2)) are dropped before
+    clearing, then the gcd and sign normalisation of each integer row keys
+    the repeats up to a scalar.  The output is padded to the input's rows.
     """
-    irows = [list(_cleared(row)[1]) for row in rows]
     distinct = {}
-    for row in irows:
+    for raw in dict.fromkeys(map(tuple, rows)):
+        row = list(_cleared(raw)[1])
         _normalize_int_row(row)
         if any(row):
             distinct.setdefault(tuple(row), row)
     work = list(distinct.values())
     pivots = _rref_int(work)
-    ncols = len(irows[0]) if irows else 0
+    ncols = len(rows[0]) if rows else 0
     out = []
     for ridx, c in enumerate(pivots):
         pv = work[ridx][c]
         out.append([_quotient(v, pv) if v else 0 for v in work[ridx]])
-    for _ in range(len(irows) - len(pivots)):
+    for _ in range(len(rows) - len(pivots)):
         out.append([0] * ncols)
     return out, pivots
 
@@ -326,7 +354,7 @@ def _rref_rows(rows) -> Tuple[list, Tuple[int, ...]]:
 # public operations
 # ---------------------------------------------------------------------------
 
-def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
+def rref(m: Matrix) -> tuple:
     """Reduced row echelon form (ints where integral) and pivot columns."""
     rows, pivots = _rref_rows(m.row_lists())
     flat = []
@@ -341,7 +369,7 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
+def kernel_basis(m: Matrix) -> tuple:
     """Canonical basis of the right null space.
 
     The returned vectors are the reduced echelon basis of the null space;
@@ -350,8 +378,7 @@ def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
     """
     red, pivots = _rref_rows(m.row_lists())
     n = m.cols
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
+    free = sorted(set(range(n)).difference(pivots))
     if not free:
         return ()
     vecs = []
@@ -370,7 +397,7 @@ def kernel_basis(m: Matrix) -> Tuple[tuple, ...]:
     return tuple(tuple(v) for v in canon)
 
 
-def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
+def solve(m: Matrix, b) -> tuple | None:
     """One exact solution of M x = b, or None if the system is inconsistent.
 
     The particular solution sets all free variables to zero; its
@@ -391,7 +418,7 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
     return tuple(x)
 
 
-def det(m: Matrix) -> Scalar:
+def det(m: Matrix) -> int | Fraction:
     """Exact determinant by Bareiss's fraction-free elimination (1968).
 
     The matrix is first scaled to integers by the lcm D of its

@@ -21,12 +21,11 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .derivations import G2_DIM, SubalgebraSummary, derivation_basis, subalgebra_structure
 from .errors import InternalInvariantError
-from .linalg import kernel_basis, rank
+from .linalg import _Record, kernel_basis, rank
 from .roots import (
     TAU_GENERIC,
     CartanElement,
@@ -68,15 +67,8 @@ def conventions():
     return tuple(_LABELS)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    tau: CartanElement
-    stabilizer_dim: int
-    orbit_type: OrbitType
-    orbit_label: str
-    vanishing: tuple
-    structure: SubalgebraSummary
-    convention: str
+class ClassificationReport(_Record):
+    __slots__ = ("tau", "stabilizer_dim", "orbit_type", "orbit_label", "vanishing", "structure", "convention")
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,8 +190,7 @@ _JSON_ENTRY = """\
     }"""
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Record):
     """Orbit-type counts over the lattice ball of a radius.
 
     A census holds no per-point data: its rows, renderings and reports are
@@ -207,9 +198,8 @@ class Census:
     so CSV and JSON stream in constant memory at any radius.
     """
 
-    radius: int
-    counts: dict
-    convention: str = CONVENTION_DEFAULT
+    __slots__ = ("radius", "counts", "convention")
+    _defaults = {"convention": CONVENTION_DEFAULT}
 
     @property
     def reports(self) -> tuple:

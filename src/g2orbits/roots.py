@@ -7,21 +7,20 @@ each read off the derivation basis once; every other Cartan element enters
 as ad(tau) = t1 ad(H1) - t3 ad(H2) in the 14 coordinates.  Each root pair
 acts on a real plane of the algebra, on which ad(H)^2 = -alpha(H)^2; the
 roots are read off exact rational kernels of ad(H*)^2 + v^2 for a generic
-H*, so no complex scalars and no floating point are involved.
+H*, v = 1, 2, ... until the algebra is full: no complex scalars, no floats.
 Squared root lengths are measured in the positive-definite form -B (B is
 the Killing form, negative definite here), so "short" is the minimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, kernel_basis, solve
+from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, _Record, kernel_basis, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -130,14 +129,12 @@ def cartan_adjoint(tau) -> Matrix:
     return Matrix(ad1.rows, ad1.cols, entries)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Record):
     """A root of the Cartan action: the functional sum_i a_i t_i on the
-    traceless plane, with canonical integer coefficients (minimum entry 0)."""
+    traceless plane, with canonical integer coefficients (minimum entry 0),
+    its squared length under -B and its length_class, "short" or "long"."""
 
-    coeffs: tuple
-    killing_sq_length: Fraction
-    length_class: str  # "short" or "long"
+    __slots__ = ("coeffs", "killing_sq_length", "length_class")
 
     def value(self, tau):
         """sum_i a_i t_i; on a CartanElement an int dot product over its den."""
@@ -184,7 +181,9 @@ def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
 @lru_cache(maxsize=1)
 def root_system():
     """All 12 roots of the derivation algebra with exact Killing lengths,
-    sorted by coefficients.  Computed once from ad(H1) and ad(H2)."""
+    sorted by coefficients.  Computed once from ad(H1) and ad(H2); the scan
+    over v stops as soon as the root planes and the Cartan fill the
+    algebra."""
     ad_star = cartan_adjoint(TAU_GENERIC)
     ad1, ad2 = _cartan_ad()
 
@@ -202,6 +201,8 @@ def root_system():
     eye = Matrix.identity(G2_DIM)
     raw = []
     for v in range(1, vmax + 1):
+        if len(raw) + zero_dim == G2_DIM:
+            break  # every root plane found: larger v have no kernel
         kern = kernel_basis(square + eye * (v * v))
         if not kern:
             continue

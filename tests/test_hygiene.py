@@ -178,3 +178,27 @@ def test_every_export_resolves_once():
     missing = [name for name in g2orbits.__all__ if not hasattr(g2orbits, name)]
     doubled = sorted({name for name in g2orbits.__all__ if g2orbits.__all__.count(name) > 1})
     assert (missing, doubled) == ([], [])
+
+
+# modules a cold CLI call must not load: dataclasses and typing, and what
+# dataclasses pulls in
+HEAVY = ("dataclasses", "typing", "inspect", "ast")
+
+
+def _heavy_loaded_after(code: str) -> list:
+    """Run code in a fresh ``python -S`` interpreter with the package on the
+    path and list the HEAVY modules in sys.modules afterwards (the last
+    line of stdout, so code may print)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = f"import sys\n{code}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_detector_sees_dataclasses_imported():
+    assert "dataclasses" in _heavy_loaded_after("import dataclasses")
+
+
+def test_a_cold_classify_loads_no_dataclasses_or_typing():
+    code = 'import g2orbits.cli as cli\ncli.main(["classify", "--tau=1,0,-1", "--json"])'
+    assert _heavy_loaded_after(code) == []

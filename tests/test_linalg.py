@@ -166,6 +166,59 @@ class TestRepeatedRows:
         assert not any(red_big.entries[head:])
         assert kernel_basis(big) == kernel_basis(a)
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(matrices_with_repeats(), st.lists(st.integers(0, 20), max_size=6))
+    def test_exact_repeats_with_int_and_fraction_entries(self, pair, spots):
+        # rows repeated exactly, each copy with its entries as Fractions: 2
+        # and Fraction(2) sit in the same position and compare equal
+        rows, padded = pair
+        for pos in spots:
+            row = padded[pos % len(padded)]
+            padded.insert(pos % (len(padded) + 1), [F(x) for x in row])
+        a, big = Matrix.from_rows(rows), Matrix.from_rows(padded)
+        # a right-hand side linear in the row, so every copy stays consistent
+        rhs, big_rhs = [sum(row) for row in rows], [sum(row) for row in padded]
+        red, pivots = rref(a)
+        red_big, pivots_big = rref(big)
+        assert pivots_big == pivots and rank(big) == rank(a)
+        head = len(pivots) * a.cols
+        assert red_big.entries[:head] == red.entries[:head]
+        assert not any(red_big.entries[head:])
+        kern = kernel_basis(big)
+        assert kern == kernel_basis(a)
+        x = solve(big, big_rhs)
+        assert x == solve(a, rhs) and list(a.apply(x)) == rhs
+        for values in (red_big.entries, sum(kern, ()), x):
+            assert all(type(v) is int for v in values if v.denominator == 1)
+
+    def test_exact_repeats_mixing_int_and_fraction(self):
+        rows = [[2, F(1, 3), 0], [1, 1, 4], [F(2), F(1, 3), 0], [2, F(1, 3), F(0)]]
+        once = rows[:2]
+        big, a = Matrix.from_rows(rows), Matrix.from_rows(once)
+        red_big, pivots = rref(big)
+        red, pivots_once = rref(a)
+        assert pivots == pivots_once == (0, 1)
+        assert red_big.entries[:6] == red.entries and not any(red_big.entries[6:])
+        assert rank(big) == rank(a) == 2
+        assert kernel_basis(big) == kernel_basis(a) == ((1, -6, F(5, 4)),)
+        assert solve(big, (1, 2, 1, 1)) == solve(a, (1, 2)) == (F(1, 5), F(9, 5), 0)
+        assert solve(big, (1, 2, 1, 2)) is None
+        assert [type(v) for v in kernel_basis(big)[0]] == [int, int, Fraction]
+        assert [type(v) for v in red_big.entries] == [int, int, Fraction, int, int, Fraction] + [int] * 6
+
+    def test_leibniz_kernel_clears_each_distinct_row_once(self, monkeypatch):
+        from g2orbits import linalg
+        from g2orbits.derivations import leibniz_system
+
+        system = leibniz_system()
+        distinct = len(set(map(tuple, system.row_lists())))
+        calls = []
+        cleared = linalg._cleared
+        monkeypatch.setattr(linalg, "_cleared", lambda values: calls.append(values) or cleared(values))
+        assert len(kernel_basis(system)) == 14
+        # the distinct raw rows, then the 14 kernel vectors it canonicalises
+        assert (distinct, len(calls)) == (190, 190 + 14)
+
 
 def fraction_rref(rows):
     """Plain Gauss-Jordan elimination over Fractions: the reduced rows,
