@@ -16,8 +16,11 @@ were calibrated once so that both products agree on all 64 basis pairs
 (the agreement is re-verified in the test suite).
 
 Elements of both models are ``linalg._IntCoords`` (int numerators over one
-denominator), so each product is formed on Python ints and reduced by one
-gcd; the multiplication table is read off the doubling product.
+denominator), so each product and sum is formed on Python ints and reduced
+by one gcd.  The doubling product is written out on the 16 numerators.
+Sign changes (conj, negation, gamma, gamma1 and the identification of the
+models) cannot create a common factor, so they take no gcd.  The
+multiplication table is read off the doubling product.
 """
 
 from __future__ import annotations
@@ -27,31 +30,9 @@ from fractions import Fraction
 from .linalg import Matrix, _IntCoords, rank
 
 
-# componentwise sum and difference of int tuples (quaternions, complex pairs)
-
-def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def _sub(x, y):
+    """Componentwise difference of two int tuples (complex pairs)."""
     return tuple(a - b for a, b in zip(x, y))
-
-
-# quaternion helpers on 4-tuples, convention e1*e2 = e3 (i j = k)
-
-def _qmul(x, y):
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
-    return (
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
-
-
-def _qconj(x):
-    return (x[0], -x[1], -x[2], -x[3])
 
 
 class Octonion(_IntCoords):
@@ -68,7 +49,7 @@ class Octonion(_IntCoords):
     def basis(cls, i: int) -> "Octonion":
         if not 0 <= i < 8:
             raise ValueError("basis index out of range")
-        return cls._reduced(tuple(int(j == i) for j in range(8)), 1)
+        return cls._coprime([int(j == i) for j in range(8)], 1)
 
     def __add__(self, other):
         if not isinstance(other, Octonion):
@@ -83,16 +64,24 @@ class Octonion(_IntCoords):
         return Octonion._reduced([a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __neg__(self):
-        return Octonion._reduced([-a for a in self.num], self.den)
+        return Octonion._coprime([-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            x, y = self.num, other.num
-            a, b = x[:4], x[4:]
-            c, d = y[:4], y[4:]
-            first = _sub(_qmul(a, c), _qmul(_qconj(d), b))
-            second = _add(_qmul(b, _qconj(c)), _qmul(d, a))
-            return Octonion._reduced(first + second, self.den * other.den)
+            # (ac - conj(d) b) + (b conj(c) + d a) e4 on the numerators,
+            # with a, b = x0..x3, x4..x7 and c, d = y0..y3, y4..y7
+            x0, x1, x2, x3, x4, x5, x6, x7 = self.num
+            y0, y1, y2, y3, y4, y5, y6, y7 = other.num
+            return Octonion._reduced((
+                x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4 - x5 * y5 - x6 * y6 - x7 * y7,
+                x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2 + x4 * y5 - x5 * y4 - x6 * y7 + x7 * y6,
+                x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1 + x4 * y6 + x5 * y7 - x6 * y4 - x7 * y5,
+                x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0 + x4 * y7 - x5 * y6 + x6 * y5 - x7 * y4,
+                x0 * y4 - x1 * y5 - x2 * y6 - x3 * y7 + x4 * y0 + x5 * y1 + x6 * y2 + x7 * y3,
+                x0 * y5 + x1 * y4 - x2 * y7 + x3 * y6 - x4 * y1 + x5 * y0 - x6 * y3 + x7 * y2,
+                x0 * y6 + x1 * y7 + x2 * y4 - x3 * y5 - x4 * y2 + x5 * y3 + x6 * y0 - x7 * y1,
+                x0 * y7 - x1 * y6 + x2 * y5 + x3 * y4 - x4 * y3 - x5 * y2 + x6 * y1 + x7 * y0,
+            ), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return Octonion._reduced([a * n for a in self.num], self.den * other.denominator)
@@ -103,7 +92,7 @@ class Octonion(_IntCoords):
     def conj(self) -> "Octonion":
         """Conjugation: fixes the e0 coordinate, negates the rest."""
         c = self.num
-        return Octonion._reduced((c[0],) + tuple(-a for a in c[1:]), self.den)
+        return Octonion._coprime([c[0]] + [-a for a in c[1:]], self.den)
 
 
 def inner(x: Octonion, y: Octonion) -> Fraction:
@@ -121,7 +110,7 @@ _GAMMA1_SIGNS = (1, -1, 1, -1, 1, -1, 1, -1)
 
 
 def _signed(signs, x: Octonion) -> Octonion:
-    return Octonion._reduced([s * v for s, v in zip(signs, x.num)], x.den)
+    return Octonion._coprime([s * v for s, v in zip(signs, x.num)], x.den)
 
 
 def _diag_matrix(signs) -> Matrix:
@@ -215,7 +204,7 @@ class ComplexModelElement(_IntCoords):
         bbar = _cconj(b)
         vec = ()
         for mi, ni, ci in zip(m, n, _cross(m, n)):
-            vec += _sub(_add(_cmul(a, ni), _cmul(bbar, mi)), _cconj(ci))
+            vec += tuple(p + q - r for p, q, r in zip(_cmul(a, ni), _cmul(bbar, mi), _cconj(ci)))
         return ComplexModelElement._reduced(scalar + vec, self.den * other.den)
 
 
@@ -242,8 +231,8 @@ def to_complex_model(x: Octonion) -> ComplexModelElement:
     complex unit must match the i*m3 action.  On the stored numerators
     this is a sign flip of the eighth one.
     """
-    return ComplexModelElement._reduced(_flip_last(x.num), x.den)
+    return ComplexModelElement._coprime(_flip_last(x.num), x.den)
 
 
 def from_complex_model(u: ComplexModelElement) -> Octonion:
-    return Octonion._reduced(_flip_last(u.num), u.den)
+    return Octonion._coprime(_flip_last(u.num), u.den)

@@ -69,28 +69,20 @@ def _parse_tau(text: str, project: bool) -> CartanElement:
     return CartanElement(vals)
 
 
-def _octonion_strings(x: Octonion):
-    return [str(c) for c in x.coords]
-
-
 def cmd_table(args) -> int:
     basis_names = [f"e{i}" for i in range(8)]
     display = [
         [("" if s > 0 else "-") + basis_names[k] for k, s in row] for row in MULT_TABLE
     ]
-    products = [
-        [_octonion_strings(Octonion.basis(i) * Octonion.basis(j)) for j in range(8)]
-        for i in range(8)
-    ]
+    units = [Octonion.basis(i) for i in range(8)]
+    products = [[[str(c) for c in (x * y).coords] for y in units] for x in units]
     print(json.dumps({"basis": basis_names, "display": display, "products": products}, indent=2))
     return 0
 
 
 def cmd_derivations(args) -> int:
     b = derivation_basis()
-    matrices = [
-        [[str(d.matrix.entry(i, j)) for j in range(8)] for i in range(8)] for d in b.basis
-    ]
+    matrices = [[[str(v) for v in d.matrix.row(i)] for i in range(8)] for d in b.basis]
     constants = []
     c = b.structure_constants
     for i in range(b.dim):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 
 from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
@@ -342,9 +341,15 @@ def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
 
 
 def _matmul(a, b):
-    """Product of two float matrices given as row tuples."""
+    """Product of two 8x8 float matrices given as row tuples, each entry
+    its 8 products added left to right as Python 3.11's float sum does.  The
+    order is kept on purpose: 3.12's sum compensates, and this fold does not."""
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple(
+        tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5 + r6 * c6 + r7 * c7
+              for c0, c1, c2, c3, c4, c5, c6, c7 in cols)
+        for r0, r1, r2, r3, r4, r5, r6, r7 in a
+    )
 
 
 def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16):

@@ -177,10 +177,15 @@ class _IntCoords:
 
     @classmethod
     def _reduced(cls, num, den: int):
-        """The value num/den (den > 0), brought to lowest terms."""
+        """num/den (den > 0) in lowest terms, num kept when the gcd is 1."""
         g = gcd(den, *num)
+        return cls._coprime(num, den) if g == 1 else cls._coprime([v // g for v in num], den // g)
+
+    @classmethod
+    def _coprime(cls, num, den: int):
+        """num/den (den > 0) for a num coprime with den: no gcd is taken."""
         x = object.__new__(cls)
-        x.num, x.den = tuple(v // g for v in num), den // g
+        x.num, x.den = tuple(num), den
         return x
 
     @property

@@ -12,8 +12,8 @@ the vanishing root pair, which is Weyl invariant.  Display labels for the two
 length classes are attached through a naming convention flag, since the
 pairing of labels with length classes is presentation, not mathematics.
 The vanishing roots are found with int dot products (on a rational tau's
-stored numerators), and a lattice census streams its rows through the
-same memo without holding per-point data.
+stored numerators) as a bit mask, the memo's key, and a lattice census
+streams its rows through the same memo without holding per-point data.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .roots import (
     CartanElement,
     _coerce_cartan,
     cartan_adjoint,
-    roots_vanishing_on,
+    roots_in,
+    vanishing_mask,
     vanishing_roots,
 )
 
@@ -108,10 +109,11 @@ def _representative(van: tuple):
 
 
 @lru_cache
-def _stabilizer(van: tuple):
+def _stabilizer(mask: int):
     """(stabilizer_dim, orbit_type) of every tau on which exactly the roots
-    van vanish, from the exact rank of the adjoint matrix of one such
+    in mask vanish, from the exact rank of the adjoint matrix of one such
     representative."""
+    van = roots_in(mask)
     dim = G2_DIM - rank(cartan_adjoint(_representative(van)))
     if dim not in (2, 4, 14) or dim != 2 + len(van):
         raise InternalInvariantError(f"stabilizer dimension {dim} with {len(van)} vanishing roots")
@@ -127,14 +129,14 @@ def _stabilizer(van: tuple):
 
 
 @lru_cache
-def _structure(van: tuple) -> SubalgebraSummary:
-    """Structure fingerprint of the stabilizer of the vanishing set van.
+def _structure(mask: int) -> SubalgebraSummary:
+    """Structure fingerprint of the stabilizer of the vanishing set mask.
 
     Only classify reports it, so a lattice scan, which prints dimensions
     and types alone, pays for neither the centralizer basis nor its 91
     brackets for FULL.
     """
-    return subalgebra_structure(centralizer(_representative(van)), derivation_basis())
+    return subalgebra_structure(centralizer(_representative(roots_in(mask))), derivation_basis())
 
 
 def classify(tau, convention: str = CONVENTION_DEFAULT) -> ClassificationReport:
@@ -150,15 +152,15 @@ def classify(tau, convention: str = CONVENTION_DEFAULT) -> ClassificationReport:
     tau = _coerce_cartan(tau)
     if convention not in _LABELS:
         raise ValueError(f"unknown convention {convention!r}")
-    van = vanishing_roots(tau)
-    dim, orbit_type = _stabilizer(van)
+    mask = vanishing_mask(*tau.num)
+    dim, orbit_type = _stabilizer(mask)
     return ClassificationReport(
         tau=tau,
         stabilizer_dim=dim,
         orbit_type=orbit_type,
         orbit_label=_LABELS[convention][orbit_type],
-        vanishing=van,
-        structure=_structure(van),
+        vanishing=roots_in(mask),
+        structure=_structure(mask),
         convention=convention,
     )
 
@@ -167,13 +169,13 @@ def lattice_rows(radius: int):
     """(t1, t2, t3, stabilizer_dim, orbit_type) for every integer triple
     with zero sum and max |t_i| <= radius, lexicographic in (t1, t2).
 
-    Each point costs 12 int dot products (roots_vanishing_on) and one
-    lookup in the vanishing-set memo; nothing is held between points.
+    Each point costs 12 int dot products (vanishing_mask) and one lookup
+    in the vanishing-set memo; nothing is held between points.
     """
     for t1 in range(-radius, radius + 1):
         for t2 in range(max(-radius, -radius - t1), min(radius, radius - t1) + 1):
             t3 = -t1 - t2
-            dim, orbit_type = _stabilizer(roots_vanishing_on(t1, t2, t3))
+            dim, orbit_type = _stabilizer(vanishing_mask(t1, t2, t3))
             yield t1, t2, t3, dim, orbit_type
 
 

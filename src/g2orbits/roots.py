@@ -241,15 +241,20 @@ def root_system():
 
 @lru_cache(maxsize=1)
 def _integer_roots():
-    """(a1, a2, a3, root) for each root, read once from root_system()."""
-    return tuple((*r.coeffs, r) for r in root_system())
+    """(a1, a2, a3, 1 << i) for the i-th root, read once from root_system()."""
+    return tuple((*r.coeffs, 1 << i) for i, r in enumerate(root_system()))
 
 
-def roots_vanishing_on(t1: int, t2: int, t3: int) -> tuple:
-    """The roots of root_system() vanishing on the integer triple
-    (t1, t2, t3), in root_system() order: plain int dot products with
-    each root's coefficients."""
-    return tuple([r for a, b, c, r in _integer_roots() if a * t1 + b * t2 + c * t3 == 0])
+def vanishing_mask(t1: int, t2: int, t3: int) -> int:
+    """The roots vanishing on the integer triple (t1, t2, t3) as a bit mask,
+    bit i for the i-th root of root_system(): int dot products with each
+    root's coefficients.  The mask is the memo key of orbit types."""
+    return sum([bit for a, b, c, bit in _integer_roots() if a * t1 + b * t2 + c * t3 == 0])
+
+
+def roots_in(mask: int) -> tuple:
+    """The roots of root_system() whose bits are set in mask, in order."""
+    return tuple([r for i, r in enumerate(root_system()) if mask >> i & 1])
 
 
 def vanishing_roots(tau):
@@ -259,7 +264,7 @@ def vanishing_roots(tau):
     positive, and a root vanishes on tau exactly when it vanishes on any
     positive multiple of it.
     """
-    return roots_vanishing_on(*_coerce_cartan(tau).num)
+    return roots_in(vanishing_mask(*_coerce_cartan(tau).num))
 
 
 @lru_cache(maxsize=None)

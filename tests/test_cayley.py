@@ -302,7 +302,10 @@ class TestFractionOracle:
     @given(coords_9, coords_9)
     def test_results_in_lowest_terms(self, xs, ys):
         x, y = Octonion(xs), Octonion(ys)
-        for z in (x, x * y, x + y, x - y, -x, x * Fraction(7, 3)):
+        cx = to_complex_model(x)
+        # the sign-only maps skip the gcd: a sign change keeps lowest terms
+        signed = (x.conj(), gamma(x), gamma1(x), cx, from_complex_model(cx))
+        for z in (x, x * y, x + y, x - y, -x, x * Fraction(7, 3), *signed):
             assert z.den > 0 and gcd(z.den, *z.num) == 1
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from g2orbits import checks, derivations
+from g2orbits import checks, derivations, linalg
 from g2orbits.cayley import Octonion
 from g2orbits.derivations import (
     G2AlgebraBasis,
@@ -37,11 +37,31 @@ class TestCheck01:
         assert checks.check_01_derivation_dimension() == detail
         assert checks.check_01_derivation_dimension() == detail
 
+    def test_one_elimination_of_the_leibniz_system(self, monkeypatch):
+        # the rank is read off the kernel's elimination; rank(leibniz_system())
+        # == 50, the form it replaced, stays as an oracle in test_derivations
+        sizes = []
+        rref_rows = linalg._rref_rows
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return rref_rows(rows)
+
+        monkeypatch.setattr(linalg, "_rref_rows", counted)
+        checks.check_01_derivation_dimension()
+        assert sizes.count(512) == 1
+
     def test_kernel_past_the_budget_fails(self, monkeypatch):
         clock = iter([100.0, 106.25])
         monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         with pytest.raises(AssertionError, match=r"took 6\.25s \(budget 5s\)"):
             checks.check_01_derivation_dimension()
+
+
+def test_check_11_detail_is_pinned():
+    # the residuals of exp(tD) in plain floats, summed in a fixed order
+    detail = "20 samples: orthogonality <= 9.5e-15, automorphism <= 4.3e-15"
+    assert checks.check_11_numeric_bridge() == detail
 
 
 def patched_basis(monkeypatch, structure=None, gram=None):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from g2orbits.derivations import (
     Derivation,
     G2AlgebraBasis,
     SubalgebraSummary,
+    _matmul,
     adjoint_matrix,
     bracket,
     derivation_basis,
@@ -585,6 +588,19 @@ class TestExpNumeric:
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             exp_derivation_numeric(Derivation.zero(), 1.0, terms=8)
+
+    def test_matmul_is_the_left_to_right_fold(self):
+        # the unrolled product adds its 8 terms in the order a plain fold
+        # does, so its floats are bit-identical to it
+        rng = random.Random(88)
+
+        def draw():
+            return tuple(tuple(rng.uniform(-3, 3) for _ in range(8)) for _ in range(8))
+
+        for _ in range(50):
+            a, b = draw(), draw()
+            fold = tuple(tuple(reduce(add, map(mul, row, col)) for col in zip(*b)) for row in a)
+            assert _matmul(a, b) == fold
 
     @pytest.mark.parametrize(
         "t",

@@ -14,7 +14,7 @@ from g2orbits.orbits import (
     classify,
     scan,
 )
-from g2orbits.roots import CartanElement, cartan_basis, root_system, weyl_reflect
+from g2orbits.roots import CartanElement, Root, cartan_basis, root_system, weyl_reflect
 
 
 def F(n, d=1):
@@ -299,6 +299,17 @@ class TestVanishingSetMemo:
         monkeypatch.setattr(orbits, "kernel_basis", forbidden)
         monkeypatch.setattr(orbits, "rank", forbidden)
         monkeypatch.setattr(orbits, "subalgebra_structure", forbidden)
+        assert scan(12).counts == closed_form_counts(12)
+
+    def test_memo_lookup_hashes_no_root(self, monkeypatch):
+        # the memo is keyed by the int mask of the vanishing roots, so a
+        # scan hashes no Root record (and none of its Fraction lengths)
+        scan(3)
+
+        def forbidden(self):
+            raise AssertionError("a Root was hashed on the scan path")
+
+        monkeypatch.setattr(Root, "__hash__", forbidden)
         assert scan(12).counts == closed_form_counts(12)
 
     def test_scan_fills_no_structure(self, monkeypatch):

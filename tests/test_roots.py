@@ -23,7 +23,8 @@ from g2orbits.roots import (
     cartan_basis,
     cartan_element,
     root_system,
-    roots_vanishing_on,
+    roots_in,
+    vanishing_mask,
     vanishing_roots,
     weyl_reflect,
 )
@@ -415,7 +416,7 @@ class TestVanishingRoots:
         for t1 in range(-4, 5):
             for t2 in range(-4, 5):
                 tau = CartanElement.of(t1, t2, -t1 - t2)
-                assert roots_vanishing_on(t1, t2, -t1 - t2) == vanishing_by_fractions(tau)
+                assert roots_in(vanishing_mask(t1, t2, -t1 - t2)) == vanishing_by_fractions(tau)
 
     def test_pairs_vanish_jointly_only_at_zero(self):
         # any two non-proportional root functionals plus the trace
