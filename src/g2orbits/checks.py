@@ -49,8 +49,8 @@ def _census6():
 
 
 def _random_ratio(rng) -> tuple:
-    """A numerator in -9..9 and a denominator in 1..9."""
-    return rng.randint(-9, 9), rng.randint(1, 9)
+    """A numerator in -9..9 and a denominator in 1..9, as randint draws them."""
+    return rng.randrange(19) - 9, rng.randrange(9) + 1
 
 
 def _random_fraction(rng) -> Fraction:

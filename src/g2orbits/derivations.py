@@ -333,10 +333,10 @@ def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
     nonzero = [br for (i, j), br in pair_brackets.items() if i < j and any(br)]
     derived_dim = rank(Matrix.from_rows(nonzero)) if nonzero else 0
 
-    # centralizer of the subalgebra inside itself: x = sum c_i rows_i with
-    # [x, rows_j] = 0 for all j, so rows_i maps to its brackets with every rows_j
+    # center: the x = sum c_i rows_i with [x, rows_j] = 0 for all j, so its
+    # dimension is dim minus the rank of each rows_i's brackets with all rows_j
     images = [[v for j in range(dim) for v in pair_brackets[i, j]] for i in range(dim)]
-    center_dim = len(_kernel_of_images(images))
+    center_dim = dim - rank(Matrix.from_rows(images))
     return SubalgebraSummary(dim, derived_dim, center_dim, derived_dim == 0)
 
 

@@ -10,7 +10,8 @@ clears each distinct input row once and sweeps no repeat of a row up to a
 scalar.  It always picks the first row (top-down) with a nonzero entry in
 the current column, sweeping columns left to right, so equal inputs
 produce bit-for-bit equal outputs.  Kernel bases are canonical (the unique
-reduced echelon basis of the null space, leading entries 1).  The
+reduced echelon basis of the null space, leading entries 1) and read off
+one elimination of the reversed columns; a dimension is a rank.  The
 determinant is Bareiss elimination on the same clearing, so an int
 matrix has an int determinant.  Products, traces and matrix-vector
 products of int matrices stay int.  :class:`_IntCoords`, int numerators
@@ -328,14 +329,15 @@ def _rref_int(rows) -> tuple:
 
 
 def _rref_rows(rows) -> tuple:
-    """RREF of a list of rational rows (zero rows last) with the pivot
-    columns; each entry an int where integral, else a Fraction.
+    """The nonzero rows of the RREF of a list of rational rows, one per
+    pivot column, with the pivot columns; each entry an int where
+    integral, else a Fraction.  No zero rows are appended.
 
     Zero rows and rows that repeat an earlier row up to a scalar do not
     change the row space, and the RREF is unique, so only the distinct rows
     are eliminated: exact repeats (2 equals Fraction(2)) are dropped before
     clearing, then the gcd and sign normalisation of each integer row keys
-    the repeats up to a scalar.  The output is padded to the input's rows.
+    the repeats up to a scalar.
     """
     distinct = {}
     for raw in dict.fromkeys(map(tuple, rows)):
@@ -345,14 +347,7 @@ def _rref_rows(rows) -> tuple:
             distinct.setdefault(tuple(row), row)
     work = list(distinct.values())
     pivots = _rref_int(work)
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    for ridx, c in enumerate(pivots):
-        pv = work[ridx][c]
-        out.append([_quotient(v, pv) if v else 0 for v in work[ridx]])
-    for _ in range(len(rows) - len(pivots)):
-        out.append([0] * ncols)
-    return out, pivots
+    return [[_quotient(v, row[c]) if v else 0 for v in row] for row, c in zip(work, pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +355,10 @@ def _rref_rows(rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form (ints where integral) and pivot columns."""
+    """Reduced row echelon form (ints where integral, zero rows last, as
+    many rows as m) and pivot columns."""
     rows, pivots = _rref_rows(m.row_lists())
-    flat = []
-    for r in rows:
-        flat.extend(r)
+    flat = [v for r in rows for v in r] + [0] * ((m.rows - len(rows)) * m.cols)
     return Matrix(m.rows, m.cols, flat), pivots
 
 
@@ -375,31 +369,31 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> tuple:
-    """Canonical basis of the right null space.
+    """Canonical basis of the right null space, from one elimination.
 
     The returned vectors are the reduced echelon basis of the null space;
     the leading entry of every vector is 1, every integral entry is an
     int, and repeated calls on equal inputs return identical output.
+
+    The columns are eliminated reversed.  There the null vector of a free
+    column has a 1 at it, 0 at the other free columns and all else at
+    pivots left of it (a reduced row is zero before its pivot).  Read back
+    in order, free columns ascending, that is an echelon basis with 1 at
+    each lead and 0 above and below it: the unique reduced one.
     """
-    red, pivots = _rref_rows(m.row_lists())
     n = m.cols
-    free = sorted(set(range(n)).difference(pivots))
-    if not free:
-        return ()
+    red, pivots = _rref_rows([m.row(i)[::-1] for i in range(m.rows)])
     vecs = []
-    for f in free:
+    for f in reversed(range(n)):
+        if f in pivots:
+            continue
         v = [0] * n
         v[f] = 1
-        for ridx, c in enumerate(pivots):
-            e = red[ridx][f]
-            if e:
-                v[c] = -e
-        vecs.append(v)
-    # canonicalize: reduced echelon basis of the spanned subspace
-    canon, piv2 = _rref_rows(vecs)
-    if len(piv2) != len(vecs):
-        raise AssertionError("kernel vectors must be independent")
-    return tuple(tuple(v) for v in canon)
+        for row, c in zip(red, pivots):
+            if row[f]:
+                v[c] = -row[f]
+        vecs.append(tuple(v[::-1]))
+    return tuple(vecs)
 
 
 def solve(m: Matrix, b) -> tuple | None:

@@ -20,7 +20,7 @@ from math import isqrt
 
 from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, _Record, kernel_basis, solve
+from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, _Record, kernel_basis, rank, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -187,7 +187,7 @@ def root_system():
     ad_star = cartan_adjoint(TAU_GENERIC)
     ad1, ad2 = _cartan_ad()
 
-    zero_dim = len(kernel_basis(ad_star))
+    zero_dim = G2_DIM - rank(ad_star)
     if zero_dim != 2:
         raise InternalInvariantError(
             f"generic Cartan element has centralizer dimension {zero_dim}, expected 2"

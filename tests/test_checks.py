@@ -30,6 +30,14 @@ def test_octonion_draws_equal_the_fraction_built_ones():
     assert new.random() == old.random()
 
 
+def test_ratio_draws_equal_the_randint_ones():
+    # randint(a, b) is a + randrange(b - a + 1): same values, same state after
+    new, old = random.Random(20240801), random.Random(20240801)
+    for _ in range(10_000):
+        assert checks._random_ratio(new) == (old.randint(-9, 9), old.randint(1, 9))
+    assert new.getstate() == old.getstate()
+
+
 class TestCheck01:
     def test_detail_is_fixed(self):
         # no wall time in the PASS line, so `check` stdout is reproducible

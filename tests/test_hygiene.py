@@ -105,6 +105,46 @@ def test_cartan_rotation_only_at_the_edge(path):
     assert _edge_calls(path.read_text()) == []
 
 
+# a dimension is a rank question: counting a canonical kernel basis builds
+# every vector of it only to take len
+KERNEL_BUILDERS = {"kernel_basis", "_kernel_of_images"}
+
+
+def _counted_kernels(source: str):
+    """(line, name) of every len(kernel_basis(...)) or
+    len(_kernel_of_images(...)), by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "len"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+        ):
+            func = node.args[0].func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in KERNEL_BUILDERS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_detector_sees_a_counted_kernel():
+    src = (
+        "kern = kernel_basis(m)\n"
+        "n = len(kern)\n"
+        "d = len(kernel_basis(m))\n"
+        "c = len(_kernel_of_images(images))\n"
+        "z = len(linalg.kernel_basis(a))\n"
+    )
+    assert _counted_kernels(src) == [(3, "kernel_basis"), (4, "_kernel_of_images"), (5, "kernel_basis")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dimensions_by_rank_not_by_counting_a_kernel(path):
+    assert _counted_kernels(path.read_text()) == []
+
+
 def _import_time_modules(source: str):
     """Top-level names of the modules a module imports when it is itself
     imported: every import outside a function body."""

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2orbits import linalg
 from g2orbits.cayley import Octonion, gamma_matrix
-from g2orbits.derivations import derivation_basis, fixed_subalgebra, stabilizer_subalgebra
-from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref, solve
-from g2orbits.orbits import centralizer
+from g2orbits.derivations import derivation_basis, fixed_subalgebra, leibniz_system, stabilizer_subalgebra
+from g2orbits.linalg import Matrix, _rref_rows, det, kernel_basis, rank, rref, solve
+from g2orbits.orbits import _representative, centralizer
+from g2orbits.roots import cartan_adjoint, vanishing_roots
+from test_derivations import one_tau_per_vanishing_set
 
 
 def F(n, d=1):
@@ -216,8 +219,9 @@ class TestRepeatedRows:
         cleared = linalg._cleared
         monkeypatch.setattr(linalg, "_cleared", lambda values: calls.append(values) or cleared(values))
         assert len(kernel_basis(system)) == 14
-        # the distinct raw rows, then the 14 kernel vectors it canonicalises
-        assert (distinct, len(calls)) == (190, 190 + 14)
+        # the distinct raw rows, once each; the kernel vectors are read off
+        # that elimination and cleared no more
+        assert (distinct, len(calls)) == (190, 190)
 
 
 def fraction_rref(rows):
@@ -312,6 +316,86 @@ class TestIntWhereIntegral:
         for rows in subalgebras:
             assert rows
             assert_int_where_integral(x for row in rows for x in row)
+
+
+def two_pass_kernel(m: Matrix) -> tuple:
+    """The kernel as it was computed before one elimination sufficed: the
+    standard null vectors, then a second elimination to canonicalise them."""
+    red, pivots = _rref_rows(m.row_lists())
+    n = m.cols
+    free = sorted(set(range(n)).difference(pivots))
+    if not free:
+        return ()
+    vecs = []
+    for f in free:
+        v = [0] * n
+        v[f] = 1
+        for ridx, c in enumerate(pivots):
+            e = red[ridx][f]
+            if e:
+                v[c] = -e
+        vecs.append(v)
+    # canonicalize: reduced echelon basis of the spanned subspace
+    canon, piv2 = _rref_rows(vecs)
+    if len(piv2) != len(vecs):
+        raise AssertionError("kernel vectors must be independent")
+    return tuple(tuple(v) for v in canon)
+
+
+def typed(kern):
+    """Each entry of a kernel basis with its type, so 2 and Fraction(2)
+    differ."""
+    return tuple(tuple((type(x), x) for x in v) for v in kern)
+
+
+class TestOneElimination:
+    """kernel_basis reads the reduced echelon basis off one elimination of
+    the reversed columns; the two-pass form it replaced is the oracle."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(matrices_with_repeats(small_rationals))
+    def test_equals_the_two_pass_kernel(self, pair):
+        for rows in pair:
+            a = Matrix.from_rows(rows)
+            assert typed(kernel_basis(a)) == typed(two_pass_kernel(a))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_equals_the_two_pass_kernel_at_full_rank(self, m, n, data):
+        # an identity block beside or above random entries: rank min(m, n)
+        block = [[int(i == j) for j in range(min(m, n))] for i in range(min(m, n))]
+        extra = data.draw(st.lists(st.lists(small_rationals, min_size=abs(m - n), max_size=abs(m - n)),
+                                   min_size=min(m, n), max_size=min(m, n)))
+        if n >= m:
+            rows = [row + list(e) for row, e in zip(block, extra)]
+        else:
+            rows = block + [list(r) for r in zip(*extra)]
+        a = Matrix(m, n, [x for row in rows for x in row])
+        assert rank(a) == min(m, n)
+        kern = kernel_basis(a)
+        assert len(kern) == n - min(m, n)
+        assert typed(kern) == typed(two_pass_kernel(a))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_no_rows(self, n):
+        a = Matrix(0, n, ())
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert typed(kernel_basis(a)) == typed(two_pass_kernel(a)) == typed(identity)
+
+    def test_package_systems(self):
+        systems = [leibniz_system()] + [
+            cartan_adjoint(_representative(vanishing_roots(tau))) for tau in one_tau_per_vanishing_set()
+        ]
+        for a in systems:
+            assert typed(kernel_basis(a)) == typed(two_pass_kernel(a))
+
+    def test_one_elimination_per_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "_rref_rows", lambda rows: calls.append(rows) or _rref_rows(rows))
+        for a in (leibniz_system(), Matrix.from_rows([[1, 1, 0], [0, 0, 1]]), Matrix.identity(3), Matrix(0, 2, ())):
+            calls.clear()
+            kernel_basis(a)
+            assert len(calls) == 1
 
 
 class TestSolve:

@@ -324,13 +324,15 @@ class TestRootSystem:
         assert len(root_system()) == 12
 
     def test_scan_stops_once_the_algebra_is_full(self, monkeypatch):
-        # one kernel for the Cartan, then ad(H*)^2 + v^2 for v = 1..7: the
-        # largest |alpha(H*)| is 7, so v never reaches the bound vmax = 14
+        # one rank for the Cartan, then a kernel of ad(H*)^2 + v^2 for
+        # v = 1..7: the largest |alpha(H*)| is 7, so v never reaches the
+        # bound vmax = 14
         expected = root_system()
-        calls = []
+        calls, ranks = [], []
         monkeypatch.setattr(roots, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+        monkeypatch.setattr(roots, "rank", lambda m: ranks.append(m) or rank(m))
         assert roots.root_system.__wrapped__() == expected  # uncached
-        assert len(calls) == 8
+        assert (len(calls), ranks) == (7, [cartan_adjoint(roots.TAU_GENERIC)])
 
     def test_value_set_at_generic_element(self):
         star = CartanElement.of(1, -4, 3)
