@@ -132,7 +132,7 @@ def cmd_classify(args) -> int:
 def cmd_scan(args) -> int:
     if not 1 <= args.radius <= SCAN_MAX_RADIUS:
         raise _InputError(f"--radius must be between 1 and {SCAN_MAX_RADIUS}, got {args.radius}")
-    census = scan(args.radius, convention=args.convention)
+    census = scan(args.radius)
     lines = census.json_lines() if args.format == "json" else census.csv_rows()
     for line in lines:
         print(line)
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="classify all lattice points with max |tau_i| <= radius")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--convention", choices=conventions(), default=CONVENTION_DEFAULT)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="run the full verification suite")

@@ -3,11 +3,12 @@
 A derivation is an 8x8 rational matrix D with D(xy) = (Dx)y + x(Dy).  The
 space of all of them is the compact 14-dimensional simple Lie algebra of
 type G2; it is carved out here as the exact kernel of a 512x64 linear
-system (one equation per basis pair and coordinate).  On top of the
-canonical basis the module provides the bracket, adjoint matrices,
-structure constants, the Killing form, fixed-point subalgebras of algebra
-automorphisms, structural fingerprints of subalgebras, and a
-floating-point exponential linking derivations to automorphisms.
+system (one equation per basis pair and coordinate), built once per
+process.  On top of the canonical basis the module provides the bracket,
+adjoint matrices, structure constants, the Killing Gram matrix, fixed-point
+subalgebras of algebra automorphisms, structural fingerprints of
+subalgebras, and a floating-point exponential linking derivations to
+automorphisms.
 Subalgebras are handed around as rows of 14 coordinates in the canonical
 basis; 8x8 matrices appear only in building that basis and where
 derivations meet octonions.
@@ -20,9 +21,12 @@ from functools import lru_cache
 
 from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
-from .linalg import Matrix, _Record, kernel_basis, rank, rref
+from .linalg import Matrix, _Record, _rref_rows, kernel_basis, rank
 
 G2_DIM = 14
+
+#: degree of the Taylor series in exp_derivation_numeric
+_EXP_DEGREE = 16
 
 
 class Derivation:
@@ -30,9 +34,7 @@ class Derivation:
 
     The matrix acts on coordinate columns: (D x)_p = sum_q m[p][q] x_q.
     Instances are cheap wrappers; the Leibniz property is enforced where
-    derivations are produced (the kernel construction below) and can be
-    re-checked with :meth:`satisfies_leibniz` against the same 512
-    equations.
+    derivations are produced, as the kernel of :func:`leibniz_system`.
     """
 
     __slots__ = ("matrix",)
@@ -46,24 +48,11 @@ class Derivation:
     def from_flat(cls, vec) -> "Derivation":
         return cls(Matrix(8, 8, vec))
 
-    @classmethod
-    def zero(cls) -> "Derivation":
-        return cls(Matrix(8, 8, [0] * 64))
-
     def flat(self):
         return self.matrix.entries
 
     def apply(self, x: Octonion) -> Octonion:
         return Octonion(self.matrix.apply(x.coords))
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-    def satisfies_leibniz(self) -> bool:
-        """Exact product-rule check: the flattened matrix solves every
-        equation of :func:`leibniz_system`, so no octonion product is
-        formed."""
-        return not any(leibniz_system().apply(self.flat()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -82,8 +71,10 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(d1.matrix * d2.matrix - d2.matrix * d1.matrix)
 
 
+@lru_cache(maxsize=1)
 def leibniz_system() -> Matrix:
-    """The 512x64 constraint system whose kernel is the derivation algebra.
+    """The 512x64 constraint system whose kernel is the derivation algebra,
+    built once per process (a Matrix is immutable).
 
     Unknowns are the matrix entries d[p][q] in row-major order (index
     8p + q).  Rows run over ordered basis pairs (i, j), eight coordinate
@@ -311,11 +302,11 @@ def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
     """
     if any(len(r) != b.dim for r in rows):
         raise ValueError(f"subalgebra rows need {b.dim} coordinates")
-    red, pivots = rref(Matrix.from_rows(rows))
+    red, pivots = _rref_rows(rows)
     dim = len(pivots)
     if dim == 0:
         return SubalgebraSummary(0, 0, 0, True)
-    rows = _nonzeros(red.row(i) for i in range(dim))
+    rows = _nonzeros(red)
     c = b.structure_constants
 
     zero = (0,) * b.dim
@@ -331,7 +322,7 @@ def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
             pair_brackets[j, i] = tuple(-v for v in br)
 
     nonzero = [br for (i, j), br in pair_brackets.items() if i < j and any(br)]
-    derived_dim = rank(Matrix.from_rows(nonzero)) if nonzero else 0
+    derived_dim = rank(Matrix.from_rows(nonzero))
 
     # center: the x = sum c_i rows_i with [x, rows_j] = 0 for all j, so its
     # dimension is dim minus the rank of each rows_i's brackets with all rows_j
@@ -352,18 +343,16 @@ def _matmul(a, b):
     )
 
 
-def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16):
+def exp_derivation_numeric(d: Derivation, t: float):
     """Floating-point exp(t d) by scaling and squaring, in plain floats.
 
     Returns the 8x8 result as a tuple of 8 row tuples of floats.  The
     matrix t d is halved until its row-sum norm is at most 1/2, the Taylor
-    series of degree ``terms`` (>= 12 by contract) runs by Horner's rule,
-    and the result is squared back; it is approximately orthogonal and
-    approximately an algebra automorphism.  A non-finite t, or one too
-    large for a float, raises ValueError.
+    series of degree 16 runs by Horner's rule, and the result is squared
+    back; it is approximately orthogonal and approximately an algebra
+    automorphism.  A non-finite t, or one too large for a float, raises
+    ValueError.
     """
-    if terms < 12:
-        raise ValueError("series degree must be at least 12")
     try:
         t = float(t)
     except OverflowError:  # an int or a Fraction beyond the float range
@@ -380,7 +369,7 @@ def exp_derivation_numeric(d: Derivation, t: float, terms: int = 16):
     m = [[v / scale for v in row] for row in a]
     eye = tuple(tuple(float(i == j) for j in range(8)) for i in range(8))
     p = eye
-    for k in range(terms, 0, -1):
+    for k in range(_EXP_DEGREE, 0, -1):
         p = tuple(
             tuple(e + v / k for e, v in zip(erow, row))
             for erow, row in zip(eye, _matmul(m, p))

@@ -209,17 +209,16 @@ class _IntCoords:
 
 
 class _Record:
-    """An immutable record of its class's ``__slots__`` (``_defaults`` fills
-    any not given): equal only within its class, hashed and shown by field."""
+    """An immutable record of its class's ``__slots__``, every field given:
+    equal only within its class, hashed and shown by field."""
 
     __slots__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)  # a tuple: every record has 2+ fields
 
     def __init__(self, *args, **kwargs):
-        values = {**self._defaults, **dict(zip(self.__slots__, args)), **kwargs}
+        values = dict(zip(self.__slots__, args), **kwargs)
         if len(args) > len(self.__slots__) or values.keys() != set(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
         for name in self.__slots__:

@@ -9,8 +9,9 @@ is built here).  It is 14 (zero element), 4 (exactly one root pair
 vanishes) or 2 (generic); anything else aborts with InternalInvariantError.
 The two 4-dimensional cases are distinguished by the Killing length class of
 the vanishing root pair, which is Weyl invariant.  Display labels for the two
-length classes are attached through a naming convention flag, since the
-pairing of labels with length classes is presentation, not mathematics.
+length classes are attached by classify's naming convention, since the
+pairing of labels with length classes is presentation, not mathematics; a
+census carries orbit types only.
 The vanishing roots are found with int dot products (on a rational tau's
 stored numerators) as a bit mask, the memo's key, and a lattice census
 streams its rows through the same memo without holding per-point data.
@@ -200,16 +201,13 @@ class Census(_Record):
     so CSV and JSON stream in constant memory at any radius.
     """
 
-    __slots__ = ("radius", "counts", "convention")
-    _defaults = {"convention": CONVENTION_DEFAULT}
+    __slots__ = ("radius", "counts")
 
     @property
     def reports(self) -> tuple:
-        """The full classify report of every lattice point, in scan order."""
-        return tuple(
-            classify(CartanElement.of(t1, t2, t3), self.convention)
-            for t1, t2, t3, _, _ in lattice_rows(self.radius)
-        )
+        """The full classify report of every lattice point, in scan order,
+        under the default convention."""
+        return tuple(classify(CartanElement.of(t1, t2, t3)) for t1, t2, t3, _, _ in lattice_rows(self.radius))
 
     def _header(self) -> dict:
         return {
@@ -249,9 +247,10 @@ class Census(_Record):
             yield f"{t1},{t2},{t3},{dim},{orbit_type.value}"
 
 
-def scan(radius: int, convention: str = CONVENTION_DEFAULT) -> Census:
+def scan(radius: int) -> Census:
     """Count the orbit types of every integer triple with zero sum and
-    max |t_i| <= radius, in one pass over lattice_rows(radius).
+    max |t_i| <= radius, in one pass over lattice_rows(radius).  Rows and
+    counts are orbit types, so no label convention enters a census.
 
     A radius of 3 or more fills all 8 vanishing-set stabilizers, and every
     further point costs 12 int dot products.  Any stabilizer dimension
@@ -260,7 +259,5 @@ def scan(radius: int, convention: str = CONVENTION_DEFAULT) -> Census:
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    if convention not in _LABELS:
-        raise ValueError(f"unknown convention {convention!r}")
     tally = Counter(row[4] for row in lattice_rows(radius))
-    return Census(radius=radius, counts={t.name: tally[t] for t in OrbitType}, convention=convention)
+    return Census(radius=radius, counts={t.name: tally[t] for t in OrbitType})

@@ -57,9 +57,6 @@ class CartanElement(_IntCoords):
         c = _frac(c)
         return CartanElement._reduced([c.numerator * v for v in self.num], c.denominator * self.den)
 
-    def __iter__(self):
-        return iter(self.tau)
-
 
 def _coerce_cartan(tau) -> CartanElement:
     return tau if isinstance(tau, CartanElement) else CartanElement(tau)
@@ -147,14 +144,14 @@ def canonical_root_coeffs(a) -> tuple:
     """Reduce (a1,a2,a3) modulo (1,1,1): subtract the minimum entry.
 
     The result has minimum 0, so its first nonzero entry is positive.
+    Raises ValueError unless every entry differs from the minimum by an
+    integer.
     """
     m = min(a)
-    out = tuple(int(x - m) for x in a)
-    if any(out):
-        lead = next(v for v in out if v)
-        if lead <= 0:
-            raise InternalInvariantError("canonical root has nonpositive lead")
-    return out
+    diffs = [x - m for x in a]
+    if any(d != int(d) for d in diffs):
+        raise ValueError(f"{tuple(a)} has no integer coefficients modulo (1,1,1)")
+    return tuple(int(d) for d in diffs)
 
 
 @lru_cache(maxsize=1)

@@ -2,7 +2,11 @@
 check 9 fails on a broken algebra, needs no 8x8 bracket and agrees with
 the forms it replaced."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -58,6 +62,17 @@ class TestCheck01:
         monkeypatch.setattr(linalg, "_rref_rows", counted)
         checks.check_01_derivation_dimension()
         assert sizes.count(512) == 1
+
+    def test_one_leibniz_build_per_process(self):
+        # check 1 and derivation_basis() share one cached system
+        code = (
+            "from g2orbits import checks, derivations\n"
+            "checks.run_all(out=lambda line: None)\n"
+            "print(derivations.leibniz_system.cache_info().misses)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "1"
 
     def test_kernel_past_the_budget_fails(self, monkeypatch):
         clock = iter([100.0, 106.25])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -13,6 +14,37 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: every subcommand's option strings; a new flag is added here first
+CLI_OPTIONS = {
+    "table": [],
+    "derivations": [],
+    "roots": [],
+    "classify": ["--tau", "--project", "--json", "--convention"],
+    "scan": ["--radius", "--format"],
+    "check": [],
+}
+
+
+class TestSurface:
+    def test_options_of_every_subcommand(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        assert options == CLI_OPTIONS
+
+    def test_scan_takes_no_convention(self, capsys):
+        # labels belong to classify; a census carries orbit types only
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--radius", "6", "--convention", "short=u1xsp1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 class TestClassifyCommand:
@@ -141,7 +173,7 @@ class TestScanCommand:
     def test_radius_at_bound_reaches_scan(self, capsys, monkeypatch):
         seen = []
 
-        def stub(radius, convention):
+        def stub(radius):
             seen.append(radius)
             return Census(radius=radius, counts={})
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from g2orbits.derivations import SubalgebraSummary, derivation_basis, subalgebra_structure
-from g2orbits.orbits import CONVENTION_DEFAULT, Census, ClassificationReport, centralizer, classify, scan
+from g2orbits.orbits import Census, ClassificationReport, centralizer, classify, scan
 from g2orbits.roots import Root, root_system
 
 
@@ -17,7 +17,7 @@ FIELDS = {
     ClassificationReport: (
         "tau", "stabilizer_dim", "orbit_type", "orbit_label", "vanishing", "structure", "convention",
     ),
-    Census: ("radius", "counts", "convention"),
+    Census: ("radius", "counts"),
 }
 
 
@@ -35,7 +35,7 @@ def records():
         (summary, SubalgebraSummary(4, 3, 1, False)),
         (root, Root((0, 0, 1), Fraction(1, 12), "short")),
         (report, ClassificationReport(**dict(zip(FIELDS[ClassificationReport], fields(report))))),
-        (census, Census(1, dict(census.counts), CONVENTION_DEFAULT)),
+        (census, Census(1, dict(census.counts))),
     ]
 
 
@@ -52,8 +52,7 @@ def test_repr_text_of_the_dataclasses():
         "Root(coeffs=(1, 0, 1), killing_sq_length=Fraction(1, 12), length_class='short')), "
         "structure=SubalgebraSummary(dim=4, derived_dim=3, center_dim=1, is_abelian=False), "
         "convention='short=sp1xu1')",
-        "Census(radius=1, counts={'FULL': 1, 'TORUS': 0, 'DIM4_SHORT': 6, 'DIM4_LONG': 0}, "
-        "convention='short=sp1xu1')",
+        "Census(radius=1, counts={'FULL': 1, 'TORUS': 0, 'DIM4_SHORT': 6, 'DIM4_LONG': 0})",
     ]
 
 
@@ -96,12 +95,6 @@ def test_fields_cannot_be_assigned_or_deleted(index):
     with pytest.raises(AttributeError):
         x.extra = 0
     assert x == twin
-
-
-def test_census_convention_defaults():
-    census = Census(radius=3, counts={"FULL": 1})
-    assert census.convention == CONVENTION_DEFAULT
-    assert Census(3, {"FULL": 1}, "short=u1xsp1").convention == "short=u1xsp1"
 
 
 def test_fields_must_match_exactly():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2orbits import orbits, roots
-from g2orbits.derivations import Derivation, G2AlgebraBasis, adjoint_matrix, bracket, derivation_basis
+from g2orbits import derivations, orbits, roots
+from g2orbits.derivations import G2AlgebraBasis, adjoint_matrix, bracket, derivation_basis
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, kernel_basis, rank, solve
 from g2orbits.orbits import centralizer, classify, lattice_rows, scan
@@ -28,7 +28,7 @@ from g2orbits.roots import (
     vanishing_roots,
     weyl_reflect,
 )
-from test_derivations import is_skew, killing_form, kills_unit, leibniz_by_products
+from test_derivations import is_skew, is_zero_derivation, killing_form, kills_unit, leibniz_by_products, satisfies_leibniz
 
 
 def F(n, d=1):
@@ -175,11 +175,11 @@ class TestStoredLikeOctonions:
 class TestCartanBasis:
     def test_generators_commute(self):
         h1, h2 = cartan_basis()
-        assert bracket(h1, h2).is_zero()
+        assert is_zero_derivation(bracket(h1, h2))
 
     def test_generators_are_derivations(self):
         for h in cartan_basis():
-            assert h.satisfies_leibniz()
+            assert satisfies_leibniz(h)
             assert leibniz_by_products(h)
             assert kills_unit(h)
             assert is_skew(h)
@@ -217,10 +217,11 @@ class TestCartanBasis:
             cartan_basis.cache_clear()
 
     def test_membership_is_read_off_the_derivation_basis(self, monkeypatch):
-        def forbidden(self):
+        def forbidden():
             raise AssertionError("cartan_basis re-ran the Leibniz equations")
 
-        monkeypatch.setattr(Derivation, "satisfies_leibniz", forbidden)
+        derivation_basis()
+        monkeypatch.setattr(derivations, "leibniz_system", forbidden)
         cartan_basis.cache_clear()
         try:
             h1, h2 = cartan_basis()
@@ -241,7 +242,7 @@ class TestCartanSubalgebraStructure:
 
 class TestCartanElementMap:
     def test_zero(self):
-        assert cartan_element(CartanElement.of(0, 0, 0)).is_zero()
+        assert is_zero_derivation(cartan_element(CartanElement.of(0, 0, 0)))
 
     def test_h1_by_definition(self):
         h1, h2 = cartan_basis()
@@ -502,3 +503,12 @@ def test_canonical_root_coeffs():
     assert canonical_root_coeffs((-1, 0, 0)) == (0, 1, 1)
     assert canonical_root_coeffs((1, -1, 0)) == (2, 0, 1)
     assert canonical_root_coeffs((F(2), F(0), F(1))) == (2, 0, 1)
+
+
+def test_canonical_root_coeffs_needs_integer_differences():
+    # truncated by int(), (1/2, 0, 0) became (0, 0, 0), which is not a root
+    for a in [(F(1, 2), 0, 0), (F(3, 2), F(1, 2), 0), (F(1, 3), F(-1, 3), 0)]:
+        with pytest.raises(ValueError):
+            canonical_root_coeffs(a)
+    # a common fractional shift is fine: only the differences must be integers
+    assert canonical_root_coeffs((F(5, 2), F(1, 2), F(3, 2))) == (2, 0, 1)
