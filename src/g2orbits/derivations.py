@@ -2,13 +2,12 @@
 
 A derivation is an 8x8 rational matrix D with D(xy) = (Dx)y + x(Dy).  The
 space of all of them is the compact 14-dimensional simple Lie algebra of
-type G2; it is carved out here as the exact kernel of a 512x64 linear
-system (one equation per basis pair and coordinate), built once per
-process.  On top of the canonical basis the module provides the bracket,
-adjoint matrices, structure constants, the Killing Gram matrix, fixed-point
-subalgebras of algebra automorphisms, structural fingerprints of
-subalgebras, and a floating-point exponential linking derivations to
-automorphisms.
+type G2: the exact kernel of a 512x64 linear system, which the Z2^3 grading
+of the table splits into eight 64x8 blocks, solved once per process.  On
+top of the canonical basis the module provides the bracket, adjoint
+matrices, structure constants, the Killing Gram matrix, fixed-point
+subalgebras of automorphisms, structural fingerprints of subalgebras, and
+a floating-point exponential linking derivations to automorphisms.
 Subalgebras are handed around as rows of 14 coordinates in the canonical
 basis; 8x8 matrices appear only in building that basis and where
 derivations meet octonions.
@@ -195,35 +194,51 @@ class G2AlgebraBasis:
 
 @lru_cache(maxsize=1)
 def derivation_basis() -> G2AlgebraBasis:
-    """Canonical basis of the 14-dimensional derivation algebra.
-
-    Deterministic (the kernel basis is canonical) and cached; fails hard
-    if the kernel dimension is not 14, which would mean the multiplication
-    table is broken.  The basis is kept as ints, so brackets, structure
-    constants, adjoint matrices and the Killing Gram matrix are ints too.
-    """
-    kern = kernel_basis(leibniz_system())
-    if len(kern) != G2_DIM:
-        raise InternalInvariantError(
-            f"Leibniz kernel has dimension {len(kern)}, expected {G2_DIM}"
-        )
-    if any(v.denominator != 1 for row in kern for v in row):
+    """Canonical basis of the 14-dimensional derivation algebra, cached:
+    the canonical kernel basis of :func:`leibniz_system`, one Z2^3 degree
+    at a time (notes/decisions.md).  With the table graded, e_i e_j =
+    s(i, j) e_{i^j}, a derivation of degree g maps e_q to v[p] e_p, p =
+    q ^ g, and its 8 unknowns v solve a 64x8 block on their own; a bracket
+    of degrees g and g' has degree g ^ g'.  Fails hard unless the table is
+    graded and the kernel integral and 14-dimensional."""
+    if any(k != i ^ j for i, row in enumerate(MULT_TABLE) for j, (k, _) in enumerate(row)):
+        raise InternalInvariantError("the multiplication table is not Z2^3-graded")
+    s = [[sign for _, sign in row] for row in MULT_TABLE]
+    homogeneous = []  # (pivot, degree, v) per kernel vector of a block
+    for g in range(8):
+        eqs = []
+        for i in range(8):
+            for j in range(8):
+                row = [0] * 8  # s(i, j) v[i^j^g] - s(i^g, j) v[i^g] - s(i, j^g) v[j^g]
+                row[i ^ j ^ g] += s[i][j]
+                row[i ^ g] -= s[i ^ g][j]
+                row[j ^ g] -= s[i][j ^ g]
+                eqs.append(row)
+        for v in kernel_basis(Matrix.from_rows(eqs)):
+            lead = next(p for p, x in enumerate(v) if x)
+            homogeneous.append((8 * lead + (lead ^ g), g, v))
+    homogeneous.sort()
+    if len(homogeneous) != G2_DIM:
+        raise InternalInvariantError(f"Leibniz kernel has dimension {len(homogeneous)}, expected {G2_DIM}")
+    if any(type(x) is not int for _, _, v in homogeneous for x in v):
         raise InternalInvariantError("Leibniz kernel basis is not integral")
-    pivots = [next(idx for idx, v in enumerate(row) if v) for row in kern]
-    basis = [Derivation.from_flat(v) for v in kern]
-    sparse = _nonzeros(kern)
+    basis = [Derivation.from_flat([v[f >> 3] if (f >> 3) ^ (f & 7) == g else 0 for f in range(64)])
+             for _, g, v in homogeneous]
 
-    n = G2_DIM
-    c = [[(0,) * n if i == j else None for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = _read_off(bracket(basis[i], basis[j]).flat(), sparse, pivots)
-            if cij is None:
+    of_degree = [[(k, pivot >> 3, v) for k, (pivot, g, v) in enumerate(homogeneous) if g == h] for h in range(8)]
+    c = [[(0,) * G2_DIM] * G2_DIM for _ in range(G2_DIM)]
+    for i, (_, gi, vi) in enumerate(homogeneous):
+        for j, (_, gj, vj) in enumerate(homogeneous[i + 1 :], i + 1):
+            # [D_i, D_j] e_q = (vi[p] vj[p^gi] - vj[p] vi[p^gj]) e_p, p = q^gi^gj
+            w = [vi[p] * vj[p ^ gi] - vj[p] * vi[p ^ gj] for p in range(8)]
+            cij, combo = [0] * G2_DIM, [0] * 8
+            for k, lead, v in of_degree[gi ^ gj]:
+                a = cij[k] = w[lead]  # v of D_k is 1 at its lead, 0 at the others'
+                combo = [y + a * x for y, x in zip(combo, v)]
+            if combo != w:
                 raise InternalInvariantError("bracket left the derivation algebra")
-            c[i][j] = cij
-            c[j][i] = tuple(-x for x in cij)
-    structure = tuple(tuple(c[i][j] for j in range(n)) for i in range(n))
-    return G2AlgebraBasis(basis, structure, pivots)
+            c[i][j], c[j][i] = tuple(cij), tuple([-x for x in cij])
+    return G2AlgebraBasis(basis, tuple(map(tuple, c)), [pivot for pivot, _, _ in homogeneous])
 
 
 def adjoint_matrix(d: Derivation, b: G2AlgebraBasis) -> Matrix:

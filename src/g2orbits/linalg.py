@@ -247,7 +247,11 @@ class _Record:
 def _cleared(values) -> tuple:
     """(scale, numerators): rational values (ints or Fractions) as int
     numerators over their least common denominator ``scale`` > 0."""
-    scale = lcm(*{v.denominator for v in values})
+    try:
+        scale = lcm(*{v.denominator for v in values})
+    except AttributeError:
+        list(map(_frac, values))  # a float raises _frac's TypeError
+        raise
     if scale == 1:
         return 1, tuple([v.numerator for v in values])
     return scale, tuple([v.numerator * (scale // v.denominator) for v in values])

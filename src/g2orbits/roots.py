@@ -6,8 +6,8 @@ the scalar part).  Only its generators H1, H2 are built as 8x8 matrices,
 each read off the derivation basis once; every other Cartan element enters
 as ad(tau) = t1 ad(H1) - t3 ad(H2) in the 14 coordinates.  Each root pair
 acts on a real plane of the algebra, on which ad(H)^2 = -alpha(H)^2; the
-roots are read off exact rational kernels of ad(H*)^2 + v^2 for a generic
-H*, v = 1, 2, ... until the algebra is full: no complex scalars, no floats.
+roots are read off exact 2x2 kernels of ad(H*)^2 + v^2 on the Z2^3-graded
+blocks, for a generic H*: no complex scalars, no floats.
 Squared root lengths are measured in the positive-definite form -B (B is
 the Killing form, negative definite here), so "short" is the minimum.
 """
@@ -20,7 +20,7 @@ from math import isqrt
 
 from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, _Record, kernel_basis, rank, solve
+from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, _Record, det, kernel_basis, rank, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -161,64 +161,60 @@ def _cartan_gram() -> Matrix:
     return Matrix.from_rows([[(x * y).trace() for y in ads] for x in ads])
 
 
-def _root_value(ad: Matrix, w, u, v: int) -> Fraction:
+def _root_value(ad: Matrix, w, u, v: int) -> int:
     """The integer r with ad w = (r/v) u, where u = ad(H*) w and w lies on
     the root plane where ad(H*)^2 = -v^2; checked on every coordinate."""
     adw = ad.apply(w)
     k = next(i for i, x in enumerate(u) if x)
-    q = Fraction(adw[k], u[k])
-    if any(adw[i] != q * u[i] for i in range(len(u))):
+    if any(x * u[k] != adw[k] * y for x, y in zip(adw, u)):
         raise InternalInvariantError("root plane vector is not a joint eigenvector")
-    r = q * v
-    if r.denominator != 1:
-        raise InternalInvariantError(f"root value {r} is not an integer")
+    r, rest = divmod(adw[k] * v, u[k])
+    if rest:
+        raise InternalInvariantError(f"root value {Fraction(adw[k] * v, u[k])} is not an integer")
     return r
+
+
+def _restricted(m: Matrix, idx) -> Matrix:
+    """m on the coordinates idx, whose span it must map into itself."""
+    if any(m.entry(k, j) for j in idx for k in range(m.rows) if k not in idx):
+        raise InternalInvariantError("ad(H) does not leave a graded block invariant")
+    return Matrix(len(idx), len(idx), [m.entry(k, j) for k in idx for j in idx])
 
 
 @lru_cache(maxsize=1)
 def root_system():
-    """All 12 roots of the derivation algebra with exact Killing lengths,
-    sorted by coefficients.  Computed once from ad(H1) and ad(H2); the scan
-    over v stops as soon as the root planes and the Cartan fill the
-    algebra."""
-    ad_star = cartan_adjoint(TAU_GENERIC)
-    ad1, ad2 = _cartan_ad()
+    """All 12 roots with exact Killing lengths, sorted by coefficients,
+    computed once.  The Cartan is the degree-1 part of the Z2^3 grading, so
+    ad(H1) and ad(H2) must keep the blocks of degrees 2+3, 4+5 and 6+7, two
+    root planes each.  On a block's even degree ad(H*)^2 is 2x2 with
+    eigenvalues -a^2, -b^2 (a, b root values on H*), and the kernel of
+    ad(H*)^2 + v^2 there is a line of the root plane of value v."""
+    # the basis vector with pivot 8p + q has degree p ^ q; even degrees first
+    degrees = [p >> 3 ^ p & 7 for p in derivation_basis()._pivots]
+    blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
+    parts = [[_restricted(m, idx) for m in (*_cartan_ad(), cartan_adjoint(TAU_GENERIC))] for idx in blocks]
 
-    zero_dim = G2_DIM - rank(ad_star)
+    zero_dim = G2_DIM - sum(rank(star) for _, _, star in parts)
     if zero_dim != 2:
-        raise InternalInvariantError(
-            f"generic Cartan element has centralizer dimension {zero_dim}, expected 2"
-        )
+        raise InternalInvariantError(f"generic Cartan element has centralizer dimension {zero_dim}, expected 2")
 
-    # the squared root values sum to -B(H*, H*) = -tr(ad(H*)^2): the scan bound
-    square = ad_star * ad_star
-    vmax = isqrt(-square.trace())
-
-    gram = _cartan_gram()
-    eye = Matrix.identity(G2_DIM)
     raw = []
-    for v in range(1, vmax + 1):
-        if len(raw) + zero_dim == G2_DIM:
-            break  # every root plane found: larger v have no kernel
-        kern = kernel_basis(square + eye * (v * v))
-        if not kern:
-            continue
-        if len(kern) != 2:
-            raise InternalInvariantError(
-                f"ad(H*)^2 + {v * v} has a kernel of dimension {len(kern)}, not 2"
-            )
-        w = kern[0]
-        u = ad_star.apply(w)
-        r1 = _root_value(ad1, w, u, v)
-        r2 = _root_value(ad2, w, u, v)
-        for s1, s2 in ((r1, r2), (-r1, -r2)):
-            raw.append((canonical_root_coeffs((s1, 0, -s2)), s1, s2))
+    for a1, a2, star in parts[1:]:
+        square = _restricted(star * star, (0, 1))
+        total = -square.trace()  # a^2 + b^2
+        gap = isqrt(max(total * total - 4 * det(square), 0))  # |a^2 - b^2|
+        # a v that is no root value has no kernel: the fill check fails
+        for v in {isqrt(max(x, 0)) for x in ((total + gap) // 2, (total - gap) // 2)}:
+            for line in kernel_basis(square + Matrix.identity(2) * (v * v)):
+                w = (*line, 0, 0)
+                u = star.apply(w)
+                r1, r2 = (_root_value(m, w, u, v) for m in (a1, a2))
+                raw += [(canonical_root_coeffs((s * r1, 0, -s * r2)), s * r1, s * r2) for s in (1, -1)]
 
     if len(raw) + zero_dim != G2_DIM:
-        raise InternalInvariantError(
-            f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra"
-        )
+        raise InternalInvariantError(f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra")
 
+    gram = _cartan_gram()
     lengths = {}
     for coeffs, r1, r2 in raw:
         x = solve(gram, (r1, r2))

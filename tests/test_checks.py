@@ -42,6 +42,14 @@ def test_ratio_draws_equal_the_randint_ones():
     assert new.getstate() == old.getstate()
 
 
+def last_line_of(code):
+    """The last line code prints in a fresh interpreter with the package on
+    the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
 class TestCheck01:
     def test_detail_is_fixed(self):
         # no wall time in the PASS line, so `check` stdout is reproducible
@@ -64,15 +72,26 @@ class TestCheck01:
         assert sizes.count(512) == 1
 
     def test_one_leibniz_build_per_process(self):
-        # check 1 and derivation_basis() share one cached system
+        # check 1 is the one caller of the cached system
         code = (
             "from g2orbits import checks, derivations\n"
             "checks.run_all(out=lambda line: None)\n"
             "print(derivations.leibniz_system.cache_info().misses)"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.splitlines()[-1] == "1"
+        assert last_line_of(code) == "1"
+
+    def test_one_elimination_of_512_rows_per_process(self):
+        # derivation_basis() eliminates the eight 64x8 graded blocks, so
+        # check 1's kernel is the process's one whole-system elimination
+        code = (
+            "from g2orbits import checks, linalg\n"
+            "sizes = []\n"
+            "rref_rows = linalg._rref_rows\n"
+            "linalg._rref_rows = lambda rows: sizes.append(len(rows)) or rref_rows(rows)\n"
+            "checks.run_all(out=lambda line: None)\n"
+            "print(sizes.count(512))"
+        )
+        assert last_line_of(code) == "1"
 
     def test_kernel_past_the_budget_fails(self, monkeypatch):
         clock = iter([100.0, 106.25])

@@ -8,6 +8,7 @@ import pytest
 from g2orbits import cli, orbits
 from g2orbits.cli import main
 from g2orbits.orbits import Census
+from test_checks import last_line_of
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +58,16 @@ class TestClassifyCommand:
         assert d["tau"] == ["1", "0", "-1"]
         assert d["vanishing_roots"] == [[0, 1, 0], [1, 0, 1]]
         assert d["structure"] == {"dim": 4, "derived_dim": 3, "center_dim": 1}
+
+    def test_a_cold_classify_builds_no_leibniz_system(self):
+        # the basis comes from the graded blocks; the 512x64 system is
+        # check 1's alone
+        code = (
+            "from g2orbits import cli, derivations\n"
+            'cli.main(["classify", "--tau=1,0,-1", "--json"])\n'
+            "print(derivations.leibniz_system.cache_info().misses)"
+        )
+        assert last_line_of(code) == "0"
 
     def test_text_report(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--tau", "0,0,0")

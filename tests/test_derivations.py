@@ -5,8 +5,10 @@ from operator import add, mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from g2orbits import linalg, orbits
+from g2orbits import derivations, linalg, orbits
 from g2orbits.cayley import MULT_TABLE, Octonion, gamma1_matrix, gamma_matrix
 from g2orbits.derivations import (
     Derivation,
@@ -22,7 +24,7 @@ from g2orbits.derivations import (
     stabilizer_subalgebra,
     subalgebra_structure,
 )
-from g2orbits.errors import NotBracketClosedError, NotInSpanError
+from g2orbits.errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
 from g2orbits.linalg import Matrix, det, kernel_basis, rank, rref
 from g2orbits.orbits import centralizer, classify
 from g2orbits.roots import cartan_basis, root_system, vanishing_roots
@@ -219,6 +221,82 @@ class TestLeibnizSystem:
         assert sizes[0] == 113
 
 
+def degrees(b):
+    """The Z2^3 degree p ^ q of each basis vector, read off every nonzero
+    entry d[p][q]; None for a vector with entries of two degrees."""
+    out = []
+    for d in b.basis:
+        found = {p ^ q for p in range(8) for q in range(8) if d.matrix.entry(p, q)}
+        out.append(found.pop() if len(found) == 1 else None)
+    return out
+
+
+def unit_rows(indices, n=14):
+    """The coordinate unit vectors of the given basis indices, ascending."""
+    return tuple(tuple(int(k == i) for k in range(n)) for i in sorted(indices))
+
+
+class TestGrading:
+    """The octonion table is Z2^3-graded (e_i e_j = +-e_{i^j}), and so is
+    everything derivation_basis builds from it one degree at a time."""
+
+    def test_table_is_graded(self):
+        assert all(MULT_TABLE[i][j][0] == i ^ j for i in range(8) for j in range(8))
+
+    def test_every_vector_has_one_degree_and_each_degree_two(self):
+        degs = degrees(derivation_basis())
+        assert None not in degs
+        assert sorted(degs) == sorted(list(range(1, 8)) * 2)
+
+    def test_brackets_respect_degree_and_each_component_is_abelian(self):
+        b = derivation_basis()
+        degs = degrees(b)
+        for i, ci in enumerate(b.structure_constants):
+            for j, cij in enumerate(ci):
+                if degs[i] == degs[j]:
+                    assert not any(cij)
+                assert all(degs[k] == degs[i] ^ degs[j] for k, v in enumerate(cij) if v)
+
+    def test_killing_gram_is_block_diagonal_by_degree(self):
+        b = derivation_basis()
+        degs = degrees(b)
+        gram = b.killing_gram()
+        assert all(gram.entry(i, j) == 0 for i in range(14) for j in range(14) if degs[i] != degs[j])
+
+    @pytest.mark.parametrize("sigma", [gamma_matrix, gamma1_matrix], ids=["gamma", "gamma1"])
+    def test_fixed_subalgebra_is_the_sum_of_the_plus_one_degrees(self, sigma):
+        # a diagonal sign automorphism e_i -> chi(i) e_i has a character chi
+        # of Z2^3 on its diagonal, and it acts on degree g by chi(g)
+        m = sigma()
+        chi = [m.entry(i, i) for i in range(8)]
+        assert all(m.entry(i, j) == 0 for i in range(8) for j in range(8) if i != j)
+        assert all(chi[i ^ j] == chi[i] * chi[j] for i in range(8) for j in range(8))
+        b = derivation_basis()
+        plus = [i for i, g in enumerate(degrees(b)) if chi[g] == 1]
+        assert len(plus) == 6
+        assert fixed_subalgebra(m, b) == unit_rows(plus)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 7), st.integers(-9, 9), st.integers(-9, 9))
+    def test_homogeneous_combinations_are_derivations(self, g, x, y):
+        b = derivation_basis()
+        i, j = [k for k, h in enumerate(degrees(b)) if h == g]
+        coeffs = [0] * 14
+        coeffs[i], coeffs[j] = x, y
+        assert leibniz_by_products(b.from_coordinates(coeffs))
+
+    def test_a_table_that_is_not_graded_aborts(self, monkeypatch):
+        table = [list(row) for row in MULT_TABLE]
+        table[1][2], table[1][3] = table[1][3], table[1][2]
+        monkeypatch.setattr(derivations, "MULT_TABLE", tuple(map(tuple, table)))
+        derivation_basis.cache_clear()
+        try:
+            with pytest.raises(InternalInvariantError, match=r"not Z2\^3-graded"):
+                derivation_basis()
+        finally:
+            derivation_basis.cache_clear()
+
+
 class TestLeibnizCheck:
     def test_sign_flipped_generator_rejected(self):
         h1 = sign_flipped(cartan_basis()[0], 2, 3)
@@ -292,9 +370,12 @@ class TestBasis:
             b.coordinates(stray)
 
     def test_deterministic(self):
+        # the graded blocks give the whole system's canonical kernel, as ints
         b = derivation_basis()
         kern = kernel_basis(leibniz_system())
         assert tuple(d.flat() for d in b.basis) == kern
+        assert all(type(v) is int for d in b.basis for v in d.flat())
+        assert b._pivots == tuple(next(i for i, v in enumerate(row) if v) for row in kern)
 
 
 class TestBracket:

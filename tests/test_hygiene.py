@@ -75,15 +75,16 @@ def test_lcm_only_in_linalg_and_checks(path):
 EDGE_ONLY = {"adjoint_matrix", "cartan_element"}
 
 
-def _edge_calls(source: str):
-    """(line, name) of every call of adjoint_matrix or cartan_element, by
-    bare name or as an attribute; definitions and imports do not count."""
+def _edge_calls(source: str, names=EDGE_ONLY):
+    """(line, name) of every call of one of names (by default
+    adjoint_matrix or cartan_element), by bare name or as an attribute;
+    definitions and imports do not count."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in EDGE_ONLY:
+            if name in names:
                 found.append((node.lineno, name))
     return sorted(found)
 
@@ -103,6 +104,25 @@ def test_detector_sees_an_edge_call():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_cartan_rotation_only_at_the_edge(path):
     assert _edge_calls(path.read_text()) == []
+
+
+# the 512x64 Leibniz system is the definition; derivation_basis() builds
+# its eight graded blocks instead, so only check 1 eliminates the whole
+def test_detector_sees_a_leibniz_system_call():
+    src = (
+        "from .derivations import leibniz_system\n"
+        "def leibniz_system():\n"
+        "    return rows\n"
+        "m = leibniz_system()\n"
+        "k = derivations.leibniz_system.__wrapped__\n"
+        "n = derivations.leibniz_system()\n"
+    )
+    assert _edge_calls(src, {"leibniz_system"}) == [(4, "leibniz_system"), (6, "leibniz_system")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "checks.py"], ids=lambda p: p.name)
+def test_only_check_1_calls_the_leibniz_system(path):
+    assert _edge_calls(path.read_text(), {"leibniz_system"}) == []
 
 
 # a dimension is a rank question: counting a canonical kernel basis builds

@@ -23,6 +23,20 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix(2, 2, [F(1)] * 3)
 
+    @pytest.mark.parametrize(
+        "op",
+        [rank, kernel_basis, rref, det, lambda m: solve(m, (1, 2))],
+        ids=["rank", "kernel_basis", "rref", "det", "solve"],
+    )
+    def test_float_entries_raise_type_error(self, op):
+        m = Matrix.from_rows([[1, 2.0], [3, 4]])
+        with pytest.raises(TypeError, match="2.0 is a float"):
+            op(m)
+
+    def test_float_right_hand_side_raises_type_error(self):
+        with pytest.raises(TypeError, match="0.5 is a float"):
+            solve(Matrix.identity(2), (1, 0.5))
+
     def test_product_and_transpose(self):
         a = Matrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
         b = Matrix.from_rows([[F(0), F(1)], [F(1), F(0)]])

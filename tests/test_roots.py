@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, kernel_basis, rank, solve
 from g2orbits.orbits import centralizer, classify, lattice_rows, scan
 from g2orbits.roots import (
+    TAU_GENERIC,
     TAU_H1,
     TAU_H2,
     CartanElement,
@@ -320,20 +321,110 @@ class TestCartanAdjoint:
                 cache.cache_clear()
 
 
+def root_system_by_scan():
+    """roots.root_system before it moved to the graded blocks: kernels of
+    the 14x14 ad(H*)^2 + v^2 for v = 1, 2, ... until the root planes and
+    the Cartan fill the algebra, each plane's values read off ad(H1) and
+    ad(H2) on its first kernel vector."""
+    ad_star = cartan_adjoint(TAU_GENERIC)
+    ad1, ad2 = _cartan_ad()
+    zero_dim = 14 - rank(ad_star)
+    assert zero_dim == 2
+    square = ad_star * ad_star
+    vmax = isqrt(-square.trace())  # the squared root values sum to -tr(ad(H*)^2)
+    eye = Matrix.identity(14)
+    raw = []
+    for v in range(1, vmax + 1):
+        if len(raw) + zero_dim == 14:
+            break
+        kern = kernel_basis(square + eye * (v * v))
+        if not kern:
+            continue
+        assert len(kern) == 2
+        w = kern[0]
+        u = ad_star.apply(w)
+        r1, r2 = (roots._root_value(ad, w, u, v) for ad in (ad1, ad2))
+        for s1, s2 in ((r1, r2), (-r1, -r2)):
+            raw.append((canonical_root_coeffs((s1, 0, -s2)), s1, s2))
+    assert len(raw) + zero_dim == 14
+    lengths = {}
+    for coeffs, r1, r2 in raw:
+        x = solve(cartan_gram_by_killing_form(), (r1, r2))
+        lengths[coeffs] = -(r1 * x[0] + r2 * x[1])
+    short = min(lengths.values())
+    return tuple(
+        roots.Root(c, lengths[c], "short" if lengths[c] == short else "long") for c in sorted(lengths)
+    )
+
+
+def root_inner(a, b):
+    """(a, b) in the form dual to -B, from the roots' values on H1 and H2."""
+    ra = (a.value(TAU_H1), a.value(TAU_H2))
+    rb = (b.value(TAU_H1), b.value(TAU_H2))
+    x = solve(cartan_gram_by_killing_form(), ra)
+    return -(rb[0] * x[0] + rb[1] * x[1])
+
+
 class TestRootSystem:
     def test_twelve_roots(self):
         assert len(root_system()) == 12
 
     def test_scan_stops_once_the_algebra_is_full(self, monkeypatch):
+        # the 14x14 scan, which root_system() replaced, finds the same roots:
         # one rank for the Cartan, then a kernel of ad(H*)^2 + v^2 for
-        # v = 1..7: the largest |alpha(H*)| is 7, so v never reaches the
-        # bound vmax = 14
-        expected = root_system()
+        # v = 1..7; the largest |alpha(H*)| is 7, so v never reaches vmax = 14
         calls, ranks = [], []
-        monkeypatch.setattr(roots, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+        kernel, rank_of = kernel_basis, rank
+        monkeypatch.setitem(globals(), "kernel_basis", lambda m: calls.append(m) or kernel(m))
+        monkeypatch.setitem(globals(), "rank", lambda m: ranks.append(m) or rank_of(m))
+        assert root_system_by_scan() == root_system()
+        assert (len(calls), ranks) == (7, [cartan_adjoint(TAU_GENERIC)])
+
+    def test_roots_come_from_the_graded_blocks(self, monkeypatch):
+        # a rank of each block of ad(H*) (the Cartan's 2x2, three 4x4), then
+        # one 2x2 kernel per root plane: no 14x14 elimination
+        expected = root_system()
+        kernels, ranks = [], []
+        monkeypatch.setattr(roots, "kernel_basis", lambda m: kernels.append(m) or kernel_basis(m))
         monkeypatch.setattr(roots, "rank", lambda m: ranks.append(m) or rank(m))
         assert roots.root_system.__wrapped__() == expected  # uncached
-        assert (len(calls), ranks) == (7, [cartan_adjoint(roots.TAU_GENERIC)])
+        assert [(m.rows, m.cols) for m in kernels] == [(2, 2)] * 6
+        assert [(m.rows, m.cols) for m in ranks] == [(2, 2), (4, 4), (4, 4), (4, 4)]
+
+    def test_blocks_are_the_graded_pairs(self):
+        # ad(H1) and ad(H2) kill the Cartan (degree 1) and map each block
+        # of degrees 2+3, 4+5 and 6+7 into itself
+        blocks = [[0, 1, 12, 13], [2, 3, 9, 10], [4, 5, 7, 8]]
+        pivots = derivation_basis()._pivots
+        assert [sorted({pivots[i] >> 3 ^ pivots[i] & 7 for i in b}) for b in blocks] == [[2, 3], [4, 5], [6, 7]]
+        inside = {(k, j) for b in blocks for k in b for j in b}
+        for ad in _cartan_ad():
+            assert all(ad.entry(k, j) == 0 for k in range(14) for j in range(14) if (k, j) not in inside)
+
+    def test_a_leak_out_of_a_block_aborts(self, monkeypatch):
+        ad1, ad2 = _cartan_ad()
+        entries = list(ad1.entries)
+        entries[2 * 14 + 0] = 1  # [H1, D_0] picks up a D_2 part: degree 3 to degree 5
+        monkeypatch.setattr(roots, "_cartan_ad", lambda: (Matrix(14, 14, entries), ad2))
+        with pytest.raises(InternalInvariantError, match="graded block invariant"):
+            roots.root_system.__wrapped__()
+
+    def test_cartan_matrix_is_sympys_g2(self):
+        root_system_module = pytest.importorskip("sympy.liealgebras.root_system")
+        positive = [r for r in root_system() if r.value(TAU_GENERIC) > 0]
+        sums = {
+            canonical_root_coeffs(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+            for a in positive for b in positive
+        }
+        simple = [r for r in positive if r.coeffs not in sums]
+        assert len(simple) == 2
+        for r in simple:
+            # Killing lengths and the dual form agree
+            assert root_inner(r, r) == r.killing_sq_length
+        ours = [[2 * root_inner(a, b) / root_inner(b, b) for b in simple] for a in simple]
+        theirs = root_system_module.RootSystem("G2").cartan_matrix().tolist()
+        assert theirs in (ours, [row[::-1] for row in ours[::-1]])
+
 
     def test_value_set_at_generic_element(self):
         star = CartanElement.of(1, -4, 3)
