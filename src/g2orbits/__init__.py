@@ -25,7 +25,6 @@ from .derivations import (
     G2AlgebraBasis,
     SubalgebraSummary,
     adjoint_matrix,
-    bracket,
     derivation_basis,
     exp_derivation_numeric,
     fixed_subalgebra,
@@ -81,7 +80,6 @@ __all__ = [
     "SubalgebraSummary",
     "SumNonzeroError",
     "adjoint_matrix",
-    "bracket",
     "canonical_root_coeffs",
     "cartan_basis",
     "cartan_element",

@@ -16,22 +16,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
 from .cayley import MULT_TABLE, Octonion
 from .derivations import derivation_basis
 from .errors import InternalInvariantError, SumNonzeroError
+from .linalg import MAX_EXPONENT, _exponent_out_of_bounds
 from .orbits import CONVENTION_DEFAULT, classify, conventions, scan
 from .roots import CartanElement, root_system
 
 
-# bounds on each --tau literal, checked before Fraction expands it
-# (1e100000000 would be an exact integer of 10^8 digits)
+# bound on each --tau literal, checked with linalg's on its exponent
 TAU_MAX_CHARS = 100
-TAU_MAX_EXPONENT = 100
-_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)$")
 
 # bound on scan --radius: a scan streams its rows in constant memory, and
 # a run at the bound (120,601 points) takes about 0.6 s
@@ -47,11 +44,10 @@ def _parse_tau(text: str, project: bool) -> CartanElement:
     if len(parts) != 3:
         raise _InputError(f"--tau needs 3 comma-separated rationals, got {text!r}")
     for p in parts:
-        exp = _EXPONENT.search(p)
-        if len(p) > TAU_MAX_CHARS or exp and abs(int(exp.group(1).replace("_", ""))) > TAU_MAX_EXPONENT:
+        if len(p) > TAU_MAX_CHARS or _exponent_out_of_bounds(p):
             raise _InputError(
                 f"--tau literal {p[:24]!r} is out of bounds: at most {TAU_MAX_CHARS} characters"
-                f" and a decimal exponent of magnitude at most {TAU_MAX_EXPONENT}"
+                f" and a decimal exponent of magnitude at most {MAX_EXPONENT}"
             )
     try:
         vals = [Fraction(p) for p in parts]

@@ -4,13 +4,14 @@ A derivation is an 8x8 rational matrix D with D(xy) = (Dx)y + x(Dy).  The
 space of all of them is the compact 14-dimensional simple Lie algebra of
 type G2: the exact kernel of a 512x64 linear system, which the Z2^3 grading
 of the table splits into eight 64x8 blocks, solved once per process.  On
-top of the canonical basis the module provides the bracket, adjoint
-matrices, structure constants, the Killing Gram matrix, fixed-point
-subalgebras of automorphisms, structural fingerprints of subalgebras, and
-a floating-point exponential linking derivations to automorphisms.
-Subalgebras are handed around as rows of 14 coordinates in the canonical
-basis; 8x8 matrices appear only in building that basis and where
-derivations meet octonions.
+top of the canonical basis the module provides the structure constants
+and the one bracket of coordinates through them (behind adjoint matrices
+and subalgebra fingerprints), the Killing Gram matrix, fixed-point
+subalgebras of automorphisms, and a floating-point exponential linking
+derivations to automorphisms.  Subalgebras are rows of 14 coordinates in
+the canonical basis; 8x8 matrices appear only in building that basis and
+where derivations meet octonions.  Only this module reads a pivot as the
+flat index 8p + q of a matrix entry d[p][q].
 """
 
 from __future__ import annotations
@@ -63,11 +64,6 @@ class Derivation:
 
     def __repr__(self) -> str:
         return "Derivation(%r)" % (self.matrix,)
-
-
-def bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator [d1, d2] = d1 d2 - d2 d1."""
-    return Derivation(d1.matrix * d2.matrix - d2.matrix * d1.matrix)
 
 
 @lru_cache(maxsize=1)
@@ -129,6 +125,21 @@ def _read_off(vec, rows, pivots):
     return coeffs if _combine(coeffs, rows, len(vec)) == tuple(vec) else None
 
 
+def _bracket_coordinates(x, y, c) -> tuple:
+    """Coordinates of [x, y] from the nonzero coordinates of x and y (as
+    given by :func:`_nonzeros`): the bilinear form sum_ij x_i y_j c[i][j]
+    of the structure constants c."""
+    out = [0] * len(c)
+    for i, xi in x:
+        ci = c[i]
+        for j, yj in y:
+            t = xi * yj
+            for k, v in enumerate(ci[j]):
+                if v:
+                    out[k] += t * v
+    return tuple(out)
+
+
 class SubalgebraSummary(_Record):
     """Structural fingerprint of a bracket-closed set of derivations."""
 
@@ -156,6 +167,11 @@ class G2AlgebraBasis:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def degrees(self) -> tuple:
+        """The Z2^3 degree p ^ q of each basis vector, whose pivot is 8p + q."""
+        return tuple(p >> 3 ^ p & 7 for p in self._pivots)
+
     def coordinates(self, d: Derivation):
         """Exact coordinates of d in this basis; NotInSpanError otherwise."""
         coeffs = _read_off(d.flat(), self._rows, self._pivots)
@@ -169,17 +185,11 @@ class G2AlgebraBasis:
         return Derivation.from_flat(_combine(coeffs, self._rows, 64))
 
     def ad(self, coeffs) -> Matrix:
-        """Matrix of X -> [x, X] for the x with coordinates coeffs, by
-        linearity from the structure constants: ad(sum c_i D_i) =
-        sum c_i ad(D_i)."""
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for ci, c_i in zip(coeffs, self.structure_constants):
-            if ci:
-                for j, cij in enumerate(c_i):
-                    for k, v in enumerate(cij):
-                        if v:
-                            out[k][j] += ci * v
-        return Matrix.from_rows(out)
+        """Matrix of X -> [x, X] for the x with coordinates coeffs: column j
+        is the coordinates of [x, D_j], by :func:`_bracket_coordinates`."""
+        (x,) = _nonzeros([coeffs])
+        c = self.structure_constants
+        return Matrix.from_rows(zip(*[_bracket_coordinates(x, ((j, 1),), c) for j in range(self.dim)]))
 
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form on the basis (symmetric), from the
@@ -290,58 +300,29 @@ def stabilizer_subalgebra(x: Octonion, b: G2AlgebraBasis):
     return _kernel_of_images([d.apply(x).coords for d in b.basis])
 
 
-def _bracket_coordinates(x, y, c) -> tuple:
-    """Coordinates of [x, y] from the nonzero coordinates of x and y (as
-    given by :func:`_nonzeros`): the bilinear form sum_ij x_i y_j c[i][j]
-    of the structure constants c."""
-    out = [0] * len(c)
-    for i, xi in x:
-        ci = c[i]
-        for j, yj in y:
-            t = xi * yj
-            for k, v in enumerate(ci[j]):
-                if v:
-                    out[k] += t * v
-    return tuple(out)
-
-
 def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
     """Fingerprint {dim, derived_dim, center_dim, is_abelian} of the span
     of rows, each the 14 coordinates in b of a derivation (as centralizer,
     fixed_subalgebra and stabilizer_subalgebra return them).
 
-    The span is reduced as 14-vectors and every bracket is read from the
-    structure constants of b, so no 8x8 matrix is formed.  Raises
-    ValueError for a row of another length and NotBracketClosedError if
-    some bracket leaves the span.
+    The span is reduced to rows r_1..r_d, and the d^2 brackets [r_i, r_j]
+    are formed once by :func:`_bracket_coordinates`, with no 8x8 matrix.
+    Raises ValueError for a row of another length and NotBracketClosedError
+    if some bracket leaves the span.
     """
     if any(len(r) != b.dim for r in rows):
         raise ValueError(f"subalgebra rows need {b.dim} coordinates")
     red, pivots = _rref_rows(rows)
     dim = len(pivots)
-    if dim == 0:
-        return SubalgebraSummary(0, 0, 0, True)
     rows = _nonzeros(red)
     c = b.structure_constants
-
-    zero = (0,) * b.dim
-    pair_brackets = {(i, i): zero for i in range(dim)}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            br = _bracket_coordinates(rows[i], rows[j], c)
-            if _read_off(br, rows, pivots) is None:
-                raise NotBracketClosedError(
-                    "bracket of subalgebra elements leaves the span"
-                )
-            pair_brackets[i, j] = br
-            pair_brackets[j, i] = tuple(-v for v in br)
-
-    nonzero = [br for (i, j), br in pair_brackets.items() if i < j and any(br)]
-    derived_dim = rank(Matrix.from_rows(nonzero))
-
-    # center: the x = sum c_i rows_i with [x, rows_j] = 0 for all j, so its
-    # dimension is dim minus the rank of each rows_i's brackets with all rows_j
-    images = [[v for j in range(dim) for v in pair_brackets[i, j]] for i in range(dim)]
+    brackets = [_bracket_coordinates(x, y, c) for x in rows for y in rows]  # [r_i, r_j] at dim * i + j
+    if any(_read_off(br, rows, pivots) is None for br in brackets):
+        raise NotBracketClosedError("bracket of subalgebra elements leaves the span")
+    # the brackets span the derived algebra; the center, the x = sum c_i r_i
+    # with [x, r_j] = 0 for all j, has dim minus the rank of the r_i's images
+    derived_dim = rank(Matrix.from_rows(brackets))
+    images = [[v for br in brackets[i * dim : (i + 1) * dim] for v in br] for i in range(dim)]
     center_dim = dim - rank(Matrix.from_rows(images))
     return SubalgebraSummary(dim, derived_dim, center_dim, derived_dim == 0)
 
@@ -365,7 +346,8 @@ def exp_derivation_numeric(d: Derivation, t: float):
     matrix t d is halved until its row-sum norm is at most 1/2, the Taylor
     series of degree 16 runs by Horner's rule, and the result is squared
     back; it is approximately orthogonal and approximately an algebra
-    automorphism.  A non-finite t, or one too large for a float, raises
+    automorphism, losing accuracy as |t| times the norm of d grows.  A
+    non-finite t, one too large for a float, or a non-finite result raises
     ValueError.
     """
     try:
@@ -391,4 +373,6 @@ def exp_derivation_numeric(d: Derivation, t: float):
         )
     for _ in range(squarings):
         p = _matmul(p, p)
+    if not all(math.isfinite(v) for row in p for v in row):
+        raise ValueError(f"exp(t d) overflows at t = {t}")
     return p

@@ -21,18 +21,35 @@ over one denominator, stores octonions (both models) and Cartan triples;
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, attrgetter, sub
 
 
+# bound on a rational string's decimal exponent, checked before Fraction
+# expands it (1e100000000 would be an exact integer of 10^8 digits)
+MAX_EXPONENT = 100
+_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)$")
+
+
+def _exponent_out_of_bounds(text: str) -> bool:
+    """Whether the stripped text ends in a decimal exponent (underscores
+    allowed, as in Fraction) of magnitude over MAX_EXPONENT."""
+    exp = _EXPONENT.search(text.strip())
+    return bool(exp) and abs(int(exp.group(1).replace("_", ""))) > MAX_EXPONENT
+
+
 def _frac(x) -> Fraction:
     """x as an exact Fraction.  Floats are rejected rather than expanded
-    into their binary value, which is almost never the number meant."""
+    into their binary value, which is almost never the number meant, and so
+    is a string whose decimal exponent is over MAX_EXPONENT."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a rational string")
+    if isinstance(x, str) and _exponent_out_of_bounds(x):
+        raise ValueError(f"{x[:24]!r} has a decimal exponent of magnitude over {MAX_EXPONENT}")
     return Fraction(x)
 
 

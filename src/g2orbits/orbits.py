@@ -134,7 +134,7 @@ def _structure(mask: int) -> SubalgebraSummary:
     """Structure fingerprint of the stabilizer of the vanishing set mask.
 
     Only classify reports it, so a lattice scan, which prints dimensions
-    and types alone, pays for neither the centralizer basis nor its 91
+    and types alone, pays for neither the centralizer basis nor its 196
     brackets for FULL.
     """
     return subalgebra_structure(centralizer(_representative(roots_in(mask))), derivation_basis())

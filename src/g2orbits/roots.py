@@ -189,8 +189,7 @@ def root_system():
     root planes each.  On a block's even degree ad(H*)^2 is 2x2 with
     eigenvalues -a^2, -b^2 (a, b root values on H*), and the kernel of
     ad(H*)^2 + v^2 there is a line of the root plane of value v."""
-    # the basis vector with pivot 8p + q has degree p ^ q; even degrees first
-    degrees = [p >> 3 ^ p & 7 for p in derivation_basis()._pivots]
+    degrees = derivation_basis().degrees  # even degrees first in each block
     blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
     parts = [[_restricted(m, idx) for m in (*_cartan_ad(), cartan_adjoint(TAU_GENERIC))] for idx in blocks]
 

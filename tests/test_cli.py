@@ -119,6 +119,15 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error:") and "exponent of magnitude at most 100" in err
 
+    def test_exponent_message_is_unchanged(self, capsys):
+        # the bound is linalg's; underscores count as Fraction counts them
+        code, out, err = run_cli(capsys, "classify", "--tau= 1e1_01,0,-1e1_01")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --tau literal '1e1_01' is out of bounds: at most 100 characters"
+            " and a decimal exponent of magnitude at most 100\n"
+        )
+
     def test_huge_exponent_rejected_before_parsing(self, capsys, monkeypatch):
         # Fraction("1e100000000") would build an integer of 10^8 digits
         def no_parse(text):
@@ -292,3 +301,91 @@ def test_stdout_is_byte_identical(capsys, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: sha256 of the classify stdout for the eight tau of every orbit type
+#: (scaled, Weyl-moved and rational), under both conventions, as text and
+#: as --json: (tau, convention, json) -> digest
+CLASSIFY_SHA256 = {
+    ("0,0,0", "short=sp1xu1", False):
+        "8748f82ce5a05bbc1d41a674d3601c4174a2ce2107caaf7725f0cf141707b6d1",
+    ("0,0,0", "short=sp1xu1", True):
+        "0936508ce4e788dac159748e4224e74719503b1f9f4a172660b60389103c016f",
+    ("1,2,-3", "short=sp1xu1", False):
+        "8836172fd80430f46d73805568e5ce0828103c31f6749ee6fa8d4fd999eed42a",
+    ("1,2,-3", "short=sp1xu1", True):
+        "502f3ca83caea9f5af88eca3fafa03e4b988e9d2e1ee889b7804dfd6ee975b23",
+    ("1,0,-1", "short=sp1xu1", False):
+        "e2a66ff216fa2c016ac4a24c7ea337aaf2cab7772114122bb07f712f2fb210d6",
+    ("1,0,-1", "short=sp1xu1", True):
+        "00397577e833b20acfdb34070b8eddd66dbded3e52316ae36ed266c42b11571d",
+    ("1,1,-2", "short=sp1xu1", False):
+        "bf472e4bbd392855d642c1368ff478b86534ae1d59fa6b2806fa7fd6d3483ac8",
+    ("1,1,-2", "short=sp1xu1", True):
+        "9a34a780bbc214ea6e54bfe92544745acdcfc7611d9b5728de76320137a1dae8",
+    ("1/2,1/2,-1", "short=sp1xu1", False):
+        "55474f6d8da950b94e0cbb1e0868f06c618a7b19c174dc51f3fb7275531a5b4c",
+    ("1/2,1/2,-1", "short=sp1xu1", True):
+        "c52a645b07e8fcc70042d32c51d4c3cb4123ff5f359e1db09a20fb05c331275a",
+    ("3/7,-1/7,-2/7", "short=sp1xu1", False):
+        "dc6de88387be49652ca719a4fe2086d32ca6bf0c46c3cc7db80345321926d87a",
+    ("3/7,-1/7,-2/7", "short=sp1xu1", True):
+        "275492c7dfaa4194f4abaad219e8ffb914d66d67377e302639f80d84111a6e28",
+    ("2,-1,-1", "short=sp1xu1", False):
+        "0f535f923d6cccaf386c9e6caaa1371081e45b60d9ed97e9dfe5241f8ad4f31d",
+    ("2,-1,-1", "short=sp1xu1", True):
+        "6283430ec82f791ac4338c1b9297d96a00c765cdbebc3aab7ecb4dbf907ba0c2",
+    ("5,-5,0", "short=sp1xu1", False):
+        "a84098b99ccaa544a779bb82524790627c5dd4036fc7139517d0857be02d718f",
+    ("5,-5,0", "short=sp1xu1", True):
+        "fa480775797ae24264db3ff2c58cc86205d98353ebad8ab67bdb57ba07465b4c",
+    ("0,0,0", "short=u1xsp1", False):
+        "a0689252b6905fe7db0dc079f693d02a001c512c631f6d952b9ea96ff081ecf8",
+    ("0,0,0", "short=u1xsp1", True):
+        "de71e255529eaea6b2928ac1d5956aece92f8c5be0adf34fc435d80b9f546453",
+    ("1,2,-3", "short=u1xsp1", False):
+        "4583ad758e2f9539885bdb340da710cbf795cff9d19a614b3550880df3742515",
+    ("1,2,-3", "short=u1xsp1", True):
+        "7e2473a40bda7c53a905aceab350002b52bef4a8cf8c6606139eda0fd618f075",
+    ("1,0,-1", "short=u1xsp1", False):
+        "e51333e71ea9c660cb1dc618f2bb25ef51e0c278a63c8e6f18d55fb540e4b027",
+    ("1,0,-1", "short=u1xsp1", True):
+        "12d3c68c3f195e197de2c60883940e5383e943ee1eed7287785b2eef1f55af24",
+    ("1,1,-2", "short=u1xsp1", False):
+        "08c7d91a8a9c176694c6ad3d4d85c4d162280797eded688b75a345b8d312a863",
+    ("1,1,-2", "short=u1xsp1", True):
+        "36877e5acbdf58e9046cf628a30affa660af9450b195788597b553112d02fd54",
+    ("1/2,1/2,-1", "short=u1xsp1", False):
+        "4a09a07748982b5bebed0748c1727b5695f3d14ef202eaaedf91b523c84208a3",
+    ("1/2,1/2,-1", "short=u1xsp1", True):
+        "348f4e35af921e54fd522e84ec013e49288d68c3a978e51329003eb3a49a28bf",
+    ("3/7,-1/7,-2/7", "short=u1xsp1", False):
+        "8ce71c55e86a18bbb72f338b57232ec8175b5f6b1230f82225903d9149869565",
+    ("3/7,-1/7,-2/7", "short=u1xsp1", True):
+        "ec776712da8d9e1d141b9e00f3fe869daae7ebab49110118a94e80cd1ac46839",
+    ("2,-1,-1", "short=u1xsp1", False):
+        "ced20bf181e5aff632ff1df97f6d3ad6d74fc79d6d1610916611a6d8fa6349df",
+    ("2,-1,-1", "short=u1xsp1", True):
+        "3e34f464c090ea4989fe7725a04fa9f7635db79406d35d3fe0b0bf23da085d5f",
+    ("5,-5,0", "short=u1xsp1", False):
+        "c9b07ac19a28ac61001b0e3f575df915879e8114d16e6ef574a7dd11297f6927",
+    ("5,-5,0", "short=u1xsp1", True):
+        "b9f0819360dad4000ff00b598014989afed7ac0a03fc65b6704684e0edc9a704",
+}
+
+
+@pytest.mark.parametrize("key", list(CLASSIFY_SHA256), ids=lambda k: f"{k[0]}-{k[1]}-{'json' if k[2] else 'text'}")
+def test_classify_stdout_is_byte_identical(capsys, key):
+    tau, convention, as_json = key
+    argv = ["classify", f"--tau={tau}", f"--convention={convention}"] + ["--json"] * as_json
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[key]
+
+
+def test_check_stdout_is_byte_identical_and_exits_3(capsys):
+    # criterion 6 stays red (it pins the gamma1 fixed subalgebra at
+    # dimension 8; the true value is 6), so check exits 3
+    code, out, err = run_cli(capsys, "check")
+    assert code == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == "ab9f1eed58129e847299f7e791eb75b484c549cf274e875d5debf539931fdd6a"

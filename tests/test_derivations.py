@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -16,7 +17,6 @@ from g2orbits.derivations import (
     SubalgebraSummary,
     _matmul,
     adjoint_matrix,
-    bracket,
     derivation_basis,
     exp_derivation_numeric,
     fixed_subalgebra,
@@ -32,6 +32,11 @@ from g2orbits.roots import cartan_basis, root_system, vanishing_roots
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def bracket(d1: Derivation, d2: Derivation) -> Derivation:
+    """Commutator [d1, d2] = d1 d2 - d2 d1."""
+    return Derivation(d1.matrix * d2.matrix - d2.matrix * d1.matrix)
 
 
 def random_element(b, rng, lo=-3, hi=3):
@@ -247,6 +252,7 @@ class TestGrading:
         degs = degrees(derivation_basis())
         assert None not in degs
         assert sorted(degs) == sorted(list(range(1, 8)) * 2)
+        assert derivation_basis().degrees == tuple(degs)
 
     def test_brackets_respect_degree_and_each_component_is_abelian(self):
         b = derivation_basis()
@@ -596,6 +602,38 @@ class TestSubalgebraStructure:
             derivations = [b.from_coordinates(v) for v in s]
             assert subalgebra_structure(s, b) == structure_by_matrices(derivations)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_the_matrix_form_on_random_integer_spans(self, data):
+        # random integer combinations of a closed span (the sum of the
+        # graded components of a subgroup of Z2^3, or a centralizer),
+        # sometimes with a random row more: closed or not, both forms agree
+        b = derivation_basis()
+        small = st.integers(-2, 2)
+        if data.draw(st.booleans()):
+            group = {0}
+            for g in data.draw(st.lists(st.integers(1, 7), max_size=3)):
+                group |= {h ^ g for h in group}
+            span = unit_rows(i for i, g in enumerate(b.degrees) if g in group)
+        else:
+            t1, t2 = data.draw(small), data.draw(small)
+            span = centralizer((t1, t2, -t1 - t2))
+        rows = []
+        for _ in range(data.draw(st.integers(0, len(span) + 1))):
+            coeffs = data.draw(st.lists(small, min_size=len(span), max_size=len(span)))
+            rows.append(tuple(sum(c * r[k] for c, r in zip(coeffs, span)) for k in range(b.dim)))
+        if data.draw(st.booleans()):
+            rows.append(tuple(data.draw(st.lists(small, min_size=b.dim, max_size=b.dim))))
+
+        def fingerprint(form, *args):
+            try:
+                return form(*args)
+            except NotBracketClosedError:
+                return "not closed"
+
+        matrices = [b.from_coordinates(r) for r in rows]
+        assert fingerprint(subalgebra_structure, rows, b) == fingerprint(structure_by_matrices, matrices)
+
     def test_not_closed_raises_in_the_matrix_form_too(self):
         b = derivation_basis()
         with pytest.raises(NotBracketClosedError):
@@ -707,4 +745,11 @@ class TestExpNumeric:
     def test_non_finite_time_rejected(self, t):
         d = derivation_basis().basis[0]
         with pytest.raises(ValueError):
+            exp_derivation_numeric(d, t)
+
+    @pytest.mark.parametrize("t", [1e100, -1e300])
+    def test_an_overflowing_result_raises_naming_t(self, t):
+        # a finite t whose squarings overflow would give inf - inf = NaN
+        d = derivation_basis().basis[0]
+        with pytest.raises(ValueError, match=re.escape(f"t = {t}")):
             exp_derivation_numeric(d, t)

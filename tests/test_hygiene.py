@@ -125,6 +125,24 @@ def test_only_check_1_calls_the_leibniz_system(path):
     assert _edge_calls(path.read_text(), {"leibniz_system"}) == []
 
 
+# only derivations knows that a basis vector's pivot is the flat index
+# 8p + q of a matrix entry; elsewhere the basis gives its degrees
+def _attribute_reads(source: str, attr: str):
+    """Lines that read the attribute attr off any object."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_detector_sees_a_pivot_read():
+    src = "b = derivation_basis()\np = b._pivots\nq = derivation_basis()._pivots[0]\n_pivots = 3\n"
+    assert _attribute_reads(src, "_pivots") == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "derivations.py"], ids=lambda p: p.name)
+def test_only_derivations_reads_pivots(path):
+    assert _attribute_reads(path.read_text(), "_pivots") == []
+
+
 # a dimension is a rank question: counting a canonical kernel basis builds
 # every vector of it only to take len
 KERNEL_BUILDERS = {"kernel_basis", "_kernel_of_images"}

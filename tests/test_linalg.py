@@ -10,7 +10,7 @@ from g2orbits.cayley import Octonion, gamma_matrix
 from g2orbits.derivations import derivation_basis, fixed_subalgebra, leibniz_system, stabilizer_subalgebra
 from g2orbits.linalg import Matrix, _rref_rows, det, kernel_basis, rank, rref, solve
 from g2orbits.orbits import _representative, centralizer
-from g2orbits.roots import cartan_adjoint, vanishing_roots
+from g2orbits.roots import CartanElement, cartan_adjoint, vanishing_roots
 from test_derivations import one_tau_per_vanishing_set
 
 
@@ -47,6 +47,40 @@ class TestMatrixBasics:
     def test_trace(self):
         a = Matrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
         assert a.trace() == 5
+
+
+class TestExponentBound:
+    """A rational string's decimal exponent is bounded before Fraction
+    expands it: Fraction("1e10000000") is an integer of 10^7 digits."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e100", F(10**100)),
+            ("-3E-100", F(-3, 10**100)),
+            (" 1e1_0 ", F(10**10)),
+            ("1e+0_100", F(10**100)),
+            ("7/2", F(7, 2)),
+        ],
+    )
+    def test_within_the_bound_parses(self, text, value):
+        assert linalg._frac(text) == value
+
+    @pytest.mark.parametrize("text", ["1e101", "1E-101", " 2.5e1_01 ", "1e10000000", "-1e+99999999999"])
+    def test_over_the_bound_raises_before_fraction(self, monkeypatch, text):
+        class NoParse(Fraction):
+            def __new__(cls, *args):
+                raise AssertionError(f"Fraction{args} was called")
+
+        monkeypatch.setattr(linalg, "Fraction", NoParse)
+        with pytest.raises(ValueError, match="decimal exponent of magnitude over 100"):
+            linalg._frac(text)
+
+    def test_cartan_elements_and_octonions_refuse_it(self):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            CartanElement(["1e10000000", 0, "-1e10000000"])
+        with pytest.raises(ValueError, match="decimal exponent"):
+            Octonion(["1e-10000000"] + [0] * 7)
 
 
 class TestRank:

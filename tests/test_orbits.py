@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2orbits import orbits
-from g2orbits.derivations import bracket, derivation_basis, subalgebra_structure
+from g2orbits.derivations import derivation_basis, subalgebra_structure
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, rank
 from g2orbits.orbits import (
@@ -15,7 +15,7 @@ from g2orbits.orbits import (
     scan,
 )
 from g2orbits.roots import CartanElement, Root, cartan_basis, root_system, weyl_reflect
-from test_derivations import is_zero_derivation
+from test_derivations import bracket, is_zero_derivation
 
 
 def F(n, d=1):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2orbits import derivations, orbits, roots
-from g2orbits.derivations import G2AlgebraBasis, adjoint_matrix, bracket, derivation_basis
+from g2orbits.derivations import G2AlgebraBasis, adjoint_matrix, derivation_basis
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.linalg import Matrix, kernel_basis, rank, solve
 from g2orbits.orbits import centralizer, classify, lattice_rows, scan
@@ -29,7 +29,15 @@ from g2orbits.roots import (
     vanishing_roots,
     weyl_reflect,
 )
-from test_derivations import is_skew, is_zero_derivation, killing_form, kills_unit, leibniz_by_products, satisfies_leibniz
+from test_derivations import (
+    bracket,
+    is_skew,
+    is_zero_derivation,
+    killing_form,
+    kills_unit,
+    leibniz_by_products,
+    satisfies_leibniz,
+)
 
 
 def F(n, d=1):
