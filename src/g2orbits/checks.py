@@ -126,11 +126,11 @@ def check_04_root_system() -> str:
     assert ratio == 3, f"length ratio {ratio} != 3"
     by_coeffs = {r.coeffs: r for r in roots}
     for r in roots:
+        # the image functional of each rp under the reflection in r is rp
+        # on the images of H1 and H2, which do not depend on rp
+        h1, h2 = (weyl_reflect(r, CartanElement(h)) for h in (TAU_H1, TAU_H2))
         for rp in roots:
-            # image functional of rp under the reflection in r
-            v1 = rp.value(weyl_reflect(r, CartanElement(TAU_H1)))
-            v2 = rp.value(weyl_reflect(r, CartanElement(TAU_H2)))
-            image = canonical_root_coeffs((v1, Fraction(0), -v2))
+            image = canonical_root_coeffs((rp.value(h1), Fraction(0), -rp.value(h2)))
             assert image in by_coeffs, f"reflection in {r.coeffs} maps {rp.coeffs} outside"
             assert by_coeffs[image].killing_sq_length == rp.killing_sq_length, (
                 f"reflection in {r.coeffs} changed the length of {rp.coeffs}"

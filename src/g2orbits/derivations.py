@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .cayley import MULT_TABLE, Octonion, is_automorphism_matrix
 from .errors import InternalInvariantError, NotBracketClosedError, NotInSpanError
-from .linalg import Matrix, _Record, _rref_rows, kernel_basis, rank
+from .linalg import Matrix, _frac, _Record, _rref_rows, kernel_basis, rank
 
 G2_DIM = 14
 
@@ -114,6 +114,15 @@ def _combine(coeffs, rows, n) -> tuple:
     return tuple(out)
 
 
+def _exact(values, n: int) -> tuple:
+    """values as a tuple of n exact entries, ints kept as they are:
+    ValueError for another length, _frac's TypeError for a float."""
+    values = tuple(values)
+    if len(values) != n:
+        raise ValueError("coordinate length mismatch")
+    return tuple([v if type(v) is int else _frac(v) for v in values])
+
+
 def _read_off(vec, rows, pivots):
     """Coordinates of vec in reduced echelon rows (given by
     :func:`_nonzeros`), or None if vec is not in their span.
@@ -174,20 +183,18 @@ class G2AlgebraBasis:
 
     def coordinates(self, d: Derivation):
         """Exact coordinates of d in this basis; NotInSpanError otherwise."""
-        coeffs = _read_off(d.flat(), self._rows, self._pivots)
+        coeffs = _read_off(_exact(d.flat(), 64), self._rows, self._pivots)
         if coeffs is None:
             raise NotInSpanError("derivation is not in the span of the basis")
         return coeffs
 
     def from_coordinates(self, coeffs) -> Derivation:
-        if len(coeffs) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        return Derivation.from_flat(_combine(coeffs, self._rows, 64))
+        return Derivation.from_flat(_combine(_exact(coeffs, self.dim), self._rows, 64))
 
     def ad(self, coeffs) -> Matrix:
         """Matrix of X -> [x, X] for the x with coordinates coeffs: column j
         is the coordinates of [x, D_j], by :func:`_bracket_coordinates`."""
-        (x,) = _nonzeros([coeffs])
+        (x,) = _nonzeros([_exact(coeffs, self.dim)])
         c = self.structure_constants
         return Matrix.from_rows(zip(*[_bracket_coordinates(x, ((j, 1),), c) for j in range(self.dim)]))
 
@@ -347,8 +354,8 @@ def exp_derivation_numeric(d: Derivation, t: float):
     series of degree 16 runs by Horner's rule, and the result is squared
     back; it is approximately orthogonal and approximately an algebra
     automorphism, losing accuracy as |t| times the norm of d grows.  A
-    non-finite t, one too large for a float, or a non-finite result raises
-    ValueError.
+    non-finite t, one too large for a float, a t d whose norm is not a
+    finite float, or a non-finite result raises ValueError.
     """
     try:
         t = float(t)
@@ -358,12 +365,13 @@ def exp_derivation_numeric(d: Derivation, t: float):
         raise ValueError(f"time must be finite, got {t}")
     a = [[float(x) * t for x in d.matrix.row(i)] for i in range(8)]
     nrm = max(sum(abs(v) for v in row) for row in a)
+    if not math.isfinite(nrm):
+        raise ValueError(f"t d is too large for floats at t = {t}")
     squarings = 0
     while nrm > 0.5:
         nrm /= 2.0
         squarings += 1
-    scale = 2.0 ** squarings
-    m = [[v / scale for v in row] for row in a]
+    m = [[math.ldexp(v, -squarings) for v in row] for row in a]  # v / 2^squarings, with no overflow
     eye = tuple(tuple(float(i == j) for j in range(8)) for i in range(8))
     p = eye
     for k in range(_EXP_DEGREE, 0, -1):

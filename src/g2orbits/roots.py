@@ -10,6 +10,9 @@ roots are read off exact 2x2 kernels of ad(H*)^2 + v^2 on the Z2^3-graded
 blocks, for a generic H*: no complex scalars, no floats.
 Squared root lengths are measured in the positive-definite form -B (B is
 the Killing form, negative definite here), so "short" is the minimum.
+Each root carries its coroot 2H/B(H, H), H its Killing dual, from the
+same 2x2 solve as its length, and the Weyl reflection in it is the int
+formula s(tau) = tau - alpha(tau) coroot.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import isqrt
 
 from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _cleared, _frac, _IntCoords, _quotient, _Record, det, kernel_basis, rank, solve
+from .linalg import Matrix, _frac, _IntCoords, _quotient, _Record, det, kernel_basis, rank, solve
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -129,9 +132,11 @@ def cartan_adjoint(tau) -> Matrix:
 class Root(_Record):
     """A root of the Cartan action: the functional sum_i a_i t_i on the
     traceless plane, with canonical integer coefficients (minimum entry 0),
-    its squared length under -B and its length_class, "short" or "long"."""
+    its squared length under -B, its length_class, "short" or "long", and
+    its coroot, the CartanElement 2H/B(H, H) on which it takes the value 2
+    (H its Killing dual)."""
 
-    __slots__ = ("coeffs", "killing_sq_length", "length_class")
+    __slots__ = ("coeffs", "killing_sq_length", "length_class", "coroot")
 
     def value(self, tau):
         """sum_i a_i t_i; on a CartanElement an int dot product over its den."""
@@ -183,12 +188,14 @@ def _restricted(m: Matrix, idx) -> Matrix:
 
 @lru_cache(maxsize=1)
 def root_system():
-    """All 12 roots with exact Killing lengths, sorted by coefficients,
-    computed once.  The Cartan is the degree-1 part of the Z2^3 grading, so
-    ad(H1) and ad(H2) must keep the blocks of degrees 2+3, 4+5 and 6+7, two
-    root planes each.  On a block's even degree ad(H*)^2 is 2x2 with
-    eigenvalues -a^2, -b^2 (a, b root values on H*), and the kernel of
-    ad(H*)^2 + v^2 there is a line of the root plane of value v."""
+    """All 12 roots with exact Killing lengths and coroots, sorted by
+    coefficients, computed once.  The Cartan is the degree-1 part of the
+    Z2^3 grading, so ad(H1) and ad(H2) must keep the blocks of degrees 2+3,
+    4+5 and 6+7, two root planes each.  On a block's even degree ad(H*)^2
+    is 2x2 with eigenvalues -a^2, -b^2 (a, b root values on H*), and the
+    kernel of ad(H*)^2 + v^2 there is a line of the root plane of value v.
+    One 2x2 Killing solve per root gives its dual H, hence both its length
+    -B(H, H) and its coroot 2H/B(H, H)."""
     degrees = derivation_basis().degrees  # even degrees first in each block
     blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
     parts = [[_restricted(m, idx) for m in (*_cartan_ad(), cartan_adjoint(TAU_GENERIC))] for idx in blocks]
@@ -214,18 +221,16 @@ def root_system():
         raise InternalInvariantError(f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra")
 
     gram = _cartan_gram()
-    lengths = {}
+    found = {}  # coeffs -> (-B(H, H), 2H/B(H, H)) for the Killing dual H = x1 H1 + x2 H2
     for coeffs, r1, r2 in raw:
         x = solve(gram, (r1, r2))
         if x is None:
             raise InternalInvariantError("Killing Gram matrix is singular")
-        lengths[coeffs] = -(r1 * x[0] + r2 * x[1])
+        sq = -(r1 * x[0] + r2 * x[1])
+        found[coeffs] = sq, CartanElement([Fraction(-2, sq) * (x[0] * a + x[1] * b) for a, b in zip(TAU_H1, TAU_H2)])
 
-    min_len = min(lengths.values())
-    roots = tuple(
-        Root(coeffs, lengths[coeffs], "short" if lengths[coeffs] == min_len else "long")
-        for coeffs in sorted(lengths)
-    )
+    min_len = min(sq for sq, _ in found.values())
+    roots = tuple(Root(c, sq, "short" if sq == min_len else "long", co) for c, (sq, co) in sorted(found.items()))
     if len(roots) != 12:
         raise InternalInvariantError(f"expected 12 distinct roots, got {len(roots)}")
     return roots
@@ -259,29 +264,12 @@ def vanishing_roots(tau):
     return roots_in(vanishing_mask(*_coerce_cartan(tau).num))
 
 
-@lru_cache(maxsize=None)
-def _reflection_vector(root: Root) -> tuple:
-    """The tau coordinates of 2 H_r / B(H_r, H_r), with H_r the Killing
-    dual of the root, as (den, int numerators): s_r(tau) = tau - r(tau) *
-    this vector."""
-    rv = (root.value(TAU_H1), root.value(TAU_H2))
-    x = solve(_cartan_gram(), rv)
-    if x is None:
-        raise InternalInvariantError("Killing Gram matrix is singular")
-    scale = Fraction(2, rv[0] * x[0] + rv[1] * x[1])
-    return _cleared([scale * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3)])
-
-
 def weyl_reflect(root: Root, tau) -> CartanElement:
-    """Reflection of tau in the hyperplane where the root vanishes.
-
-    Computed via the Killing form: s_r(H) = H - 2 B(H, H_r)/B(H_r, H_r) H_r
-    with H_r the Killing-dual of the root, expressed in tau coordinates;
-    the root's part of it is computed once per root.  The image is formed
-    on tau's int numerators, with the root value an int dot product.
-    """
+    """Reflection of tau in the hyperplane where the root vanishes:
+    s(tau) = tau - root(tau) root.coroot, formed on the int numerators of
+    tau and the coroot, with the root value an int dot product."""
     tau = _coerce_cartan(tau)
-    den, w = _reflection_vector(root)
+    c = root.coroot
     v = root.value(tau.num)
-    image = [ti * den - v * wi for ti, wi in zip(tau.num, w)]
-    return CartanElement._reduced(image, tau.den * den)._traceless()
+    image = [ti * c.den - v * ci for ti, ci in zip(tau.num, c.num)]
+    return CartanElement._reduced(image, tau.den * c.den)._traceless()

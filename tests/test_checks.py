@@ -99,6 +99,24 @@ class TestCheck01:
             checks.check_01_derivation_dimension()
 
 
+class TestCheck04:
+    DETAIL = "12 roots (6 short, 6 long), ratio 3, reflections permute preserving length"
+
+    def test_reflects_each_generator_once_per_root(self, monkeypatch):
+        calls = []
+        reflect = checks.weyl_reflect
+        monkeypatch.setattr(checks, "weyl_reflect", lambda r, tau: calls.append((r.coeffs, tau)) or reflect(r, tau))
+        assert checks.check_04_root_system() == self.DETAIL
+        generators = [checks.CartanElement(checks.TAU_H1), checks.CartanElement(checks.TAU_H2)]
+        assert calls == [(r.coeffs, h) for r in checks.root_system() for h in generators]
+
+    def test_a_wrong_reflection_fails(self, monkeypatch):
+        reflect = checks.weyl_reflect
+        monkeypatch.setattr(checks, "weyl_reflect", lambda r, tau: reflect(r, tau).scaled(2))
+        with pytest.raises(AssertionError, match="maps .* outside"):
+            checks.check_04_root_system()
+
+
 def test_check_11_detail_is_pinned():
     # the residuals of exp(tD) in plain floats, summed in a fixed order
     detail = "20 samples: orthogonality <= 9.5e-15, automorphism <= 4.3e-15"

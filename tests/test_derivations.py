@@ -1,8 +1,12 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +478,31 @@ class TestAdjoint:
             assert col == b.coordinates(bracket(d, b.basis[j]))
 
 
+class TestCoordinatesAreCheckedOnEntry:
+    @pytest.mark.parametrize("length", [1, 13, 15])
+    def test_another_length_raises(self, length):
+        b = derivation_basis()
+        for method in (b.ad, b.from_coordinates):
+            with pytest.raises(ValueError, match="coordinate length mismatch"):
+                method((1,) * length)
+
+    def test_a_float_raises_fracs_type_error(self):
+        b = derivation_basis()
+        with pytest.raises(TypeError, match="is a float"):
+            b.ad((1.0,) + (0,) * 13)
+        with pytest.raises(TypeError, match="is a float"):
+            b.from_coordinates([0.5] + [0] * 13)
+        with pytest.raises(TypeError, match="is a float"):
+            b.coordinates(Derivation(Matrix(8, 8, [0.0] * 64)))
+
+    def test_ints_stay_ints_and_fractions_pass(self):
+        b = derivation_basis()
+        coeffs = (F(1, 2),) + tuple(range(13))
+        assert b.coordinates(b.from_coordinates(coeffs)) == coeffs
+        assert all(type(v) is int for v in b.ad(range(14)).entries)
+        assert b.ad(iter(coeffs)) == b.ad(coeffs)
+
+
 class TestKillingForm:
     def test_symmetry(self):
         b = derivation_basis()
@@ -746,6 +775,30 @@ class TestExpNumeric:
         d = derivation_basis().basis[0]
         with pytest.raises(ValueError):
             exp_derivation_numeric(d, t)
+
+    @pytest.mark.parametrize("t", ["1e308", "1e307"])
+    def test_a_huge_finite_time_returns_or_raises_value_error(self, t):
+        # in a child process with a timeout, so that a hang fails the test:
+        # at 1e308 the norm of t d is not a finite float, and at 1e307 the
+        # 1026 halvings' scale 2 ** 1026 is not one either
+        code = (
+            "import math\n"
+            "from g2orbits.derivations import derivation_basis, exp_derivation_numeric\n"
+            "d = derivation_basis().from_coordinates([1] * 14)\n"
+            "try:\n"
+            f"    a = exp_derivation_numeric(d, {t})\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+            "else:\n"
+            "    print(len(a), all(math.isfinite(v) for row in a for v in row))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        if t == "1e308":
+            assert out.stdout.strip() == "t d is too large for floats at t = 1e+308"
+        else:
+            assert out.stdout.strip() == "8 True" or f"t = {float(t)}" in out.stdout
 
     @pytest.mark.parametrize("t", [1e100, -1e300])
     def test_an_overflowing_result_raises_naming_t(self, t):

@@ -1,6 +1,8 @@
 """Source hygiene that no installed linter covers."""
 
 import ast
+import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -280,3 +282,31 @@ def test_detector_sees_dataclasses_imported():
 def test_a_cold_classify_loads_no_dataclasses_or_typing():
     code = 'import g2orbits.cli as cli\ncli.main(["classify", "--tau=1,0,-1", "--json"])'
     assert _heavy_loaded_after(code) == []
+
+
+def _unbounded_caches(namespace) -> list:
+    """Names in namespace bound to a function cached with no size bound:
+    lru_cache(maxsize=None), or functools.cache, which is the same."""
+    return sorted(
+        name for name, obj in namespace.items()
+        if hasattr(obj, "cache_parameters") and obj.cache_parameters()["maxsize"] is None
+    )
+
+
+def test_detector_sees_an_unbounded_cache():
+    namespace = {
+        "cache": functools.cache(abs),
+        "none": functools.lru_cache(maxsize=None)(abs),
+        "one": functools.lru_cache(maxsize=1)(abs),
+        "bare": functools.lru_cache(abs),
+    }
+    assert _unbounded_caches(namespace) == ["cache", "none"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"], ids=lambda p: p.name)
+def test_no_unbounded_cache(path):
+    # a cache keyed by its arguments with no bound grows with every distinct
+    # call for the life of the process
+    module = importlib.import_module(f"g2orbits.{path.stem}")
+    classes = [c for c in vars(module).values() if isinstance(c, type) and c.__module__ == module.__name__]
+    assert [n for ns in [vars(module), *map(vars, classes)] for n in _unbounded_caches(ns)] == []

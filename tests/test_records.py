@@ -8,12 +8,12 @@ import pytest
 
 from g2orbits.derivations import SubalgebraSummary, derivation_basis, subalgebra_structure
 from g2orbits.orbits import Census, ClassificationReport, centralizer, classify, scan
-from g2orbits.roots import Root, root_system
+from g2orbits.roots import CartanElement, Root, root_system
 
 
 FIELDS = {
     SubalgebraSummary: ("dim", "derived_dim", "center_dim", "is_abelian"),
-    Root: ("coeffs", "killing_sq_length", "length_class"),
+    Root: ("coeffs", "killing_sq_length", "length_class", "coroot"),
     ClassificationReport: (
         "tau", "stabilizer_dim", "orbit_type", "orbit_label", "vanishing", "structure", "convention",
     ),
@@ -33,7 +33,7 @@ def records():
     census = scan(1)
     return [
         (summary, SubalgebraSummary(4, 3, 1, False)),
-        (root, Root((0, 0, 1), Fraction(1, 12), "short")),
+        (root, Root((0, 0, 1), Fraction(1, 12), "short", CartanElement.of(-1, -1, 2))),
         (report, ClassificationReport(**dict(zip(FIELDS[ClassificationReport], fields(report))))),
         (census, Census(1, dict(census.counts))),
     ]
@@ -45,11 +45,14 @@ IDS = ["SubalgebraSummary", "Root", "ClassificationReport", "Census"]
 def test_repr_text_of_the_dataclasses():
     assert [repr(x) for x, _ in records()] == [
         "SubalgebraSummary(dim=4, derived_dim=3, center_dim=1, is_abelian=False)",
-        "Root(coeffs=(0, 0, 1), killing_sq_length=Fraction(1, 12), length_class='short')",
+        "Root(coeffs=(0, 0, 1), killing_sq_length=Fraction(1, 12), length_class='short', "
+        "coroot=CartanElement(-1, -1, 2))",
         "ClassificationReport(tau=CartanElement(1, 0, -1), stabilizer_dim=4, "
         "orbit_type=<OrbitType.DIM4_SHORT: 'DIM4_SHORT'>, orbit_label='G2/((Sp(1)xU(1))/Z2)', "
-        "vanishing=(Root(coeffs=(0, 1, 0), killing_sq_length=Fraction(1, 12), length_class='short'), "
-        "Root(coeffs=(1, 0, 1), killing_sq_length=Fraction(1, 12), length_class='short')), "
+        "vanishing=(Root(coeffs=(0, 1, 0), killing_sq_length=Fraction(1, 12), length_class='short', "
+        "coroot=CartanElement(-1, 2, -1)), "
+        "Root(coeffs=(1, 0, 1), killing_sq_length=Fraction(1, 12), length_class='short', "
+        "coroot=CartanElement(1, -2, 1))), "
         "structure=SubalgebraSummary(dim=4, derived_dim=3, center_dim=1, is_abelian=False), "
         "convention='short=sp1xu1')",
         "Census(radius=1, counts={'FULL': 1, 'TORUS': 0, 'DIM4_SHORT': 6, 'DIM4_LONG': 0})",
@@ -81,7 +84,8 @@ def test_records_with_other_fields_differ():
     summary = SubalgebraSummary(4, 3, 1, False)
     assert summary != SubalgebraSummary(4, 3, 1, True)
     assert root_system()[0] != root_system()[1]
-    assert len({root_system()[0], Root((0, 0, 1), Fraction(1, 12), "short")}) == 1
+    assert len({root_system()[0], Root((0, 0, 1), Fraction(1, 12), "short", CartanElement.of(-1, -1, 2))}) == 1
+    assert root_system()[0] != Root((0, 0, 1), Fraction(1, 12), "short", CartanElement.of(1, 1, -2))
 
 
 @pytest.mark.parametrize("index", range(4), ids=IDS)

@@ -168,13 +168,11 @@ class TestStoredLikeOctonions:
             (vanishing_by_fractions(tau), [reflect_by_solve(r, tau) for r in root_system()])
             for tau in taus
         ]
-        for r in root_system():
-            weyl_reflect(r, taus[0])  # the reflection vectors are cached
 
         def forbidden(*args):
-            raise AssertionError("roots cleared or built a Fraction for a stored tau")
+            raise AssertionError("roots solved or built a Fraction for a stored tau")
 
-        monkeypatch.setattr(roots, "_cleared", forbidden)
+        monkeypatch.setattr(roots, "solve", forbidden)
         monkeypatch.setattr(roots, "Fraction", forbidden)
         for tau, (van, images) in zip(taus, expected):
             assert vanishing_roots(tau) == van
@@ -309,7 +307,6 @@ class TestCartanAdjoint:
             root_system,
             _cartan_gram,
             roots._integer_roots,
-            roots._reflection_vector,
             orbits._stabilizer,
             orbits._structure,
         )
@@ -355,13 +352,16 @@ def root_system_by_scan():
         for s1, s2 in ((r1, r2), (-r1, -r2)):
             raw.append((canonical_root_coeffs((s1, 0, -s2)), s1, s2))
     assert len(raw) + zero_dim == 14
-    lengths = {}
+    lengths, coroots = {}, {}
     for coeffs, r1, r2 in raw:
         x = solve(cartan_gram_by_killing_form(), (r1, r2))
         lengths[coeffs] = -(r1 * x[0] + r2 * x[1])
+        dual = [x[0] * a + x[1] * b for a, b in zip(TAU_H1, TAU_H2)]
+        coroots[coeffs] = CartanElement([-2 * h / lengths[coeffs] for h in dual])
     short = min(lengths.values())
     return tuple(
-        roots.Root(c, lengths[c], "short" if lengths[c] == short else "long") for c in sorted(lengths)
+        roots.Root(c, lengths[c], "short" if lengths[c] == short else "long", coroots[c])
+        for c in sorted(lengths)
     )
 
 
@@ -430,6 +430,7 @@ class TestRootSystem:
             # Killing lengths and the dual form agree
             assert root_inner(r, r) == r.killing_sq_length
         ours = [[2 * root_inner(a, b) / root_inner(b, b) for b in simple] for a in simple]
+        assert [[a.value(b.coroot) for b in simple] for a in simple] == ours  # <a, b coroot>
         theirs = root_system_module.RootSystem("G2").cartan_matrix().tolist()
         assert theirs in (ours, [row[::-1] for row in ours[::-1]])
 
@@ -536,6 +537,37 @@ class TestVanishingRoots:
                 assert rank(m) == 3
 
 
+def coroot_by_standard_form(root):
+    """2 alpha / (alpha, alpha) in the standard form on the traceless plane,
+    where the functional a . tau is the vector p = 3a - (sum a)(1, 1, 1)
+    up to the factor 1/3, so alpha's coroot is 6p / (p . p)."""
+    a = root.coeffs
+    p = [3 * x - sum(a) for x in a]
+    return CartanElement([F(6 * x, sum(y * y for y in p)) for x in p])
+
+
+class TestCoroots:
+    def test_each_root_is_two_on_its_integral_coroot(self):
+        for r in root_system():
+            assert type(r.coroot) is CartanElement
+            assert r.value(r.coroot) == 2
+            assert r.coroot.den == 1 and all(type(v) is int for v in r.coroot.num)
+
+    def test_examples(self):
+        coroots = {r.coeffs: r.coroot for r in root_system()}
+        assert coroots[(0, 0, 1)] == CartanElement.of(-1, -1, 2)  # short
+        assert coroots[(0, 1, 2)] == CartanElement.of(-1, 0, 1)  # long
+
+    def test_agrees_with_the_standard_form(self):
+        assert [r.coroot for r in root_system()] == [coroot_by_standard_form(r) for r in root_system()]
+
+    def test_one_killing_solve_per_root(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(roots, "solve", lambda m, b: calls.append(b) or solve(m, b))
+        assert roots.root_system.__wrapped__() == root_system()  # uncached
+        assert len(calls) == 12
+
+
 class TestWeylReflections:
     def test_long_root_transposition(self):
         roots = root_system()
@@ -567,10 +599,13 @@ class TestWeylReflections:
     @oracle_settings
     @given(rational_taus())
     def test_matches_solve_and_is_involution(self, tau):
-        for r in root_system():
-            image = weyl_reflect(r, tau)
-            assert image == reflect_by_solve(r, tau)
-            assert weyl_reflect(r, image) == tau
+        root_system()
+        with pytest.MonkeyPatch.context() as monkeypatch:  # each root carries its coroot: no solve
+            monkeypatch.setattr(roots, "solve", lambda *args: pytest.fail("weyl_reflect solved a system"))
+            for r in root_system():
+                image = weyl_reflect(r, tau)
+                assert image == reflect_by_solve(r, tau)
+                assert weyl_reflect(r, image) == tau
 
     @oracle_settings
     @given(fractions_9, fractions_9)
