@@ -16,16 +16,16 @@ were calibrated once so that both products agree on all 64 basis pairs
 (the agreement is re-verified in the test suite).
 
 Elements of both models are ``linalg._IntCoords`` (int numerators over one
-denominator), so each product and sum is formed on Python ints and reduced
-by one gcd.  The doubling product is written out on the 16 numerators.
-Sign changes (conj, negation, gamma, gamma1 and the identification of the
-models) cannot create a common factor, so they take no gcd.  The
-multiplication table is read off the doubling product.
+denominator).  ``Octonion`` wraps kernels on int 8-tuples (``_product``,
+``_dot`` and ``_signs`` for conj, gamma and gamma1) and reduces a product
+or sum by one gcd, a sign change by none (it cannot create a common
+factor).  Check 7 runs its random pairs through the kernels directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .linalg import Matrix, _IntCoords, rank
 
@@ -33,6 +33,26 @@ from .linalg import Matrix, _IntCoords, rank
 def _sub(x, y):
     """Componentwise difference of two int tuples (complex pairs)."""
     return tuple(a - b for a, b in zip(x, y))
+
+
+def _product(x, y):
+    """(ac - conj(d) b) + (b conj(c) + d a) e4 on int 8-tuples x = (a, b), y = (c, d)."""
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    return (
+        x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4 - x5 * y5 - x6 * y6 - x7 * y7,
+        x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2 + x4 * y5 - x5 * y4 - x6 * y7 + x7 * y6,
+        x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1 + x4 * y6 + x5 * y7 - x6 * y4 - x7 * y5,
+        x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0 + x4 * y7 - x5 * y6 + x6 * y5 - x7 * y4,
+        x0 * y4 - x1 * y5 - x2 * y6 - x3 * y7 + x4 * y0 + x5 * y1 + x6 * y2 + x7 * y3,
+        x0 * y5 + x1 * y4 - x2 * y7 + x3 * y6 - x4 * y1 + x5 * y0 - x6 * y3 + x7 * y2,
+        x0 * y6 + x1 * y7 + x2 * y4 - x3 * y5 - x4 * y2 + x5 * y3 + x6 * y0 - x7 * y1,
+        x0 * y7 - x1 * y6 + x2 * y5 + x3 * y4 - x4 * y3 - x5 * y2 + x6 * y1 + x7 * y0,
+    )
+
+
+def _dot(x, y):
+    return sum(map(mul, x, y))
 
 
 class Octonion(_IntCoords):
@@ -68,20 +88,7 @@ class Octonion(_IntCoords):
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            # (ac - conj(d) b) + (b conj(c) + d a) e4 on the numerators,
-            # with a, b = x0..x3, x4..x7 and c, d = y0..y3, y4..y7
-            x0, x1, x2, x3, x4, x5, x6, x7 = self.num
-            y0, y1, y2, y3, y4, y5, y6, y7 = other.num
-            return Octonion._reduced((
-                x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4 - x5 * y5 - x6 * y6 - x7 * y7,
-                x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2 + x4 * y5 - x5 * y4 - x6 * y7 + x7 * y6,
-                x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1 + x4 * y6 + x5 * y7 - x6 * y4 - x7 * y5,
-                x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0 + x4 * y7 - x5 * y6 + x6 * y5 - x7 * y4,
-                x0 * y4 - x1 * y5 - x2 * y6 - x3 * y7 + x4 * y0 + x5 * y1 + x6 * y2 + x7 * y3,
-                x0 * y5 + x1 * y4 - x2 * y7 + x3 * y6 - x4 * y1 + x5 * y0 - x6 * y3 + x7 * y2,
-                x0 * y6 + x1 * y7 + x2 * y4 - x3 * y5 - x4 * y2 + x5 * y3 + x6 * y0 - x7 * y1,
-                x0 * y7 - x1 * y6 + x2 * y5 + x3 * y4 - x4 * y3 - x5 * y2 + x6 * y1 + x7 * y0,
-            ), self.den * other.den)
+            return Octonion._reduced(_product(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return Octonion._reduced([a * n for a in self.num], self.den * other.denominator)
@@ -91,26 +98,26 @@ class Octonion(_IntCoords):
 
     def conj(self) -> "Octonion":
         """Conjugation: fixes the e0 coordinate, negates the rest."""
-        c = self.num
-        return Octonion._coprime([c[0]] + [-a for a in c[1:]], self.den)
+        return Octonion._coprime(_signs(_CONJ_SIGNS, self.num), self.den)
 
 
 def inner(x: Octonion, y: Octonion) -> Fraction:
     """Standard inner product making e0..e7 orthonormal."""
-    return Fraction(sum(a * b for a, b in zip(x.num, y.num)), x.den * y.den)
+    return Fraction(_dot(x.num, y.num), x.den * y.den)
 
 
 def norm(x: Octonion) -> Fraction:
     return inner(x, x)
 
 
-#: the diagonal signs of gamma and gamma1, for the maps and their matrices
+#: the diagonal signs of conj, gamma and gamma1 (and of their matrices)
+_CONJ_SIGNS = (1, -1, -1, -1, -1, -1, -1, -1)
 _GAMMA_SIGNS = (1, 1, 1, 1, -1, -1, -1, -1)
 _GAMMA1_SIGNS = (1, -1, 1, -1, 1, -1, 1, -1)
 
 
-def _signed(signs, x: Octonion) -> Octonion:
-    return Octonion._coprime([s * v for s, v in zip(signs, x.num)], x.den)
+def _signs(signs, x):
+    return tuple(map(mul, signs, x))
 
 
 def _diag_matrix(signs) -> Matrix:
@@ -119,7 +126,7 @@ def _diag_matrix(signs) -> Matrix:
 
 def gamma(x: Octonion) -> Octonion:
     """The automorphism a + b*e4 -> a - b*e4 (negates coordinates 4..7)."""
-    return _signed(_GAMMA_SIGNS, x)
+    return Octonion._coprime(_signs(_GAMMA_SIGNS, x.num), x.den)
 
 
 def gamma1(x: Octonion) -> Octonion:
@@ -127,7 +134,7 @@ def gamma1(x: Octonion) -> Octonion:
 
     On real coordinates it fixes e0, e2, e4, e6 and negates e1, e3, e5, e7.
     """
-    return _signed(_GAMMA1_SIGNS, x)
+    return Octonion._coprime(_signs(_GAMMA1_SIGNS, x.num), x.den)
 
 
 def gamma_matrix() -> Matrix:

@@ -27,6 +27,9 @@ G2_DIM = 14
 
 #: degree of the Taylor series in exp_derivation_numeric
 _EXP_DEGREE = 16
+#: largest row-sum norm of t d in exp_derivation_numeric (the orthogonality
+#: residual is 6.5e-11 at a norm of 7e5, 6.8e-10 at 7e6 and 7.1e-4 at 7e12)
+_EXP_MAX_NORM = 2.0 ** 20
 
 
 class Derivation:
@@ -354,8 +357,8 @@ def exp_derivation_numeric(d: Derivation, t: float):
     series of degree 16 runs by Horner's rule, and the result is squared
     back; it is approximately orthogonal and approximately an algebra
     automorphism, losing accuracy as |t| times the norm of d grows.  A
-    non-finite t, one too large for a float, a t d whose norm is not a
-    finite float, or a non-finite result raises ValueError.
+    non-finite t or one too large for a float, a t d of norm over 2**20
+    (_EXP_MAX_NORM), or a non-finite result raises ValueError.
     """
     try:
         t = float(t)
@@ -365,7 +368,7 @@ def exp_derivation_numeric(d: Derivation, t: float):
         raise ValueError(f"time must be finite, got {t}")
     a = [[float(x) * t for x in d.matrix.row(i)] for i in range(8)]
     nrm = max(sum(abs(v) for v in row) for row in a)
-    if not math.isfinite(nrm):
+    if not nrm <= _EXP_MAX_NORM:  # also when nrm is not a finite float
         raise ValueError(f"t d is too large for floats at t = {t}")
     squarings = 0
     while nrm > 0.5:

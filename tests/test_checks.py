@@ -1,7 +1,8 @@
-"""Tests of the verification suite itself: the draws it makes, and that
-check 9 fails on a broken algebra, needs no 8x8 bracket and agrees with
-the forms it replaced."""
+"""Tests of the verification suite itself: the draws it makes, that
+checks 7 and 9 fail on a broken algebra and agree with the forms they
+replaced, and that check 9 needs no 8x8 bracket."""
 
+import math
 import os
 import random
 import subprocess
@@ -11,8 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from g2orbits import checks, derivations, linalg
-from g2orbits.cayley import Octonion
+from g2orbits import cayley, checks, derivations, linalg
+from g2orbits.cayley import Octonion, _product, gamma, gamma1, inner
 from g2orbits.derivations import (
     G2AlgebraBasis,
     adjoint_matrix,
@@ -22,15 +23,25 @@ from g2orbits.linalg import Matrix
 from test_derivations import bracket, killing_form
 
 
+def _random_octonion(rng) -> Octonion:
+    """Eight random ratios, as int numerators over the lcm of their
+    denominators: equal to the octonion of eight _random_fraction draws."""
+    draws = [checks._random_ratio(rng) for _ in range(8)]
+    den = math.lcm(*(d for _, d in draws))
+    return Octonion._reduced([n * (den // d) for n, d in draws], den)
+
+
 def test_octonion_draws_equal_the_fraction_built_ones():
-    # check 7's integer draws against Octonion([_random_fraction ...]), the
-    # form they had before: same values from the same randint calls
-    new, old = random.Random(20240801), random.Random(20240801)
+    # check 7's cleared draws, over the lcm of the same draws' denominators,
+    # against Octonion([_random_fraction ...]), the form they had before:
+    # same values, and the same state after
+    new, raw, old = random.Random(20240801), random.Random(20240801), random.Random(20240801)
     for _ in range(1000):
-        x = checks._random_octonion(new)
+        den = math.lcm(*(checks._random_ratio(raw)[1] for _ in range(8)))
+        x = Octonion._reduced(checks._random_numerators(new), den)
         y = Octonion([checks._random_fraction(old) for _ in range(8)])
         assert (x.num, x.den) == (y.num, y.den)
-    assert new.random() == old.random()
+    assert new.getstate() == old.getstate()
 
 
 def test_ratio_draws_equal_the_randint_ones():
@@ -115,6 +126,82 @@ class TestCheck04:
         monkeypatch.setattr(checks, "weyl_reflect", lambda r, tau: reflect(r, tau).scaled(2))
         with pytest.raises(AssertionError, match="maps .* outside"):
             checks.check_04_root_system()
+
+
+def cayley_laws_on_octonions() -> str:
+    """Check 7 before it ran on integer numerators: the laws on reduced
+    Octonions, a gcd and a new object per product."""
+    rng = random.Random(20240801)
+    for _ in range(500):
+        x = _random_octonion(rng)
+        y = _random_octonion(rng)
+        xy, xx = x * y, x * x
+        assert x * xy == xx * y, "left alternativity fails"
+        assert (y * x) * x == y * xx, "right alternativity fails"
+        assert inner(xy, xy) == inner(x, x) * inner(y, y), "composition fails"
+        assert xy.conj() == y.conj() * x.conj(), "anti-automorphism fails"
+        assert gamma(gamma(x)) == x and gamma1(gamma1(x)) == x, "involution fails"
+    basis = [Octonion.basis(i) for i in range(8)]
+    for f in (gamma, gamma1):
+        for i in range(8):
+            for j in range(8):
+                assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
+                    f"{f.__name__} not multiplicative on ({i},{j})"
+                )
+    return "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
+
+
+def product_with_a_flipped_term(x, y):
+    """The doubling product with the term -x1 y1 of e0 written as +x1 y1."""
+    z = _product(x, y)
+    return (z[0] + 2 * x[1] * y[1],) + z[1:]
+
+
+#: conjugation's signs with the e7 coordinate left un-negated
+CONJ_SIGNS_LEAVING_E7 = (1, -1, -1, -1, -1, -1, -1, 1)
+
+
+class TestCheck07:
+    DETAIL = "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
+
+    def test_agrees_with_the_octonion_oracle(self):
+        assert checks.check_07_cayley_laws() == cayley_laws_on_octonions() == self.DETAIL
+
+    @pytest.mark.parametrize("law", [cayley_laws_on_octonions, checks.check_07_cayley_laws], ids=["oracle", "check"])
+    def test_a_flipped_product_term_fails(self, monkeypatch, law):
+        monkeypatch.setattr(cayley, "_product", product_with_a_flipped_term)
+        with pytest.raises(AssertionError, match="left alternativity fails"):
+            law()
+
+    @pytest.mark.parametrize("law", [cayley_laws_on_octonions, checks.check_07_cayley_laws], ids=["oracle", "check"])
+    def test_a_conjugation_missing_a_sign_fails(self, monkeypatch, law):
+        monkeypatch.setattr(cayley, "_CONJ_SIGNS", CONJ_SIGNS_LEAVING_E7)
+        with pytest.raises(AssertionError, match="anti-automorphism fails"):
+            law()
+
+    def test_one_product_kernel(self, monkeypatch):
+        def refuse(x, y):
+            raise RuntimeError("product kernel called")
+
+        monkeypatch.setattr(cayley, "_product", refuse)
+        with pytest.raises(RuntimeError, match="product kernel called"):
+            Octonion.basis(1) * Octonion.basis(2)
+        with pytest.raises(RuntimeError, match="product kernel called"):
+            checks.check_07_cayley_laws()
+
+    def test_a_check_run_makes_few_octonion_products(self):
+        # check 7's 500 random pairs build no Octonion; its 64-pair gamma
+        # and gamma1 half and the other checks make the rest
+        code = (
+            "from g2orbits import checks\n"
+            "from g2orbits.cayley import Octonion\n"
+            "calls = []\n"
+            "mul = Octonion.__mul__\n"
+            "Octonion.__mul__ = lambda x, y: calls.append(1) or mul(x, y)\n"
+            "checks.run_all(out=lambda line: None)\n"
+            "print(len(calls))"
+        )
+        assert int(last_line_of(code)) <= 600
 
 
 def test_check_11_detail_is_pinned():

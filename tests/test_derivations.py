@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import re
@@ -779,8 +780,9 @@ class TestExpNumeric:
     @pytest.mark.parametrize("t", ["1e308", "1e307"])
     def test_a_huge_finite_time_returns_or_raises_value_error(self, t):
         # in a child process with a timeout, so that a hang fails the test:
-        # at 1e308 the norm of t d is not a finite float, and at 1e307 the
-        # 1026 halvings' scale 2 ** 1026 is not one either
+        # at 1e308 the norm of t d is not a finite float (it once looped
+        # forever), and at 1e307 it is over the 2**20 bound (the scale
+        # 2 ** 1026 of its halvings once overflowed)
         code = (
             "import math\n"
             "from g2orbits.derivations import derivation_basis, exp_derivation_numeric\n"
@@ -799,6 +801,25 @@ class TestExpNumeric:
             assert out.stdout.strip() == "t d is too large for floats at t = 1e+308"
         else:
             assert out.stdout.strip() == "8 True" or f"t = {float(t)}" in out.stdout
+
+    @pytest.mark.parametrize("t", [1e12, 1e15])
+    def test_an_inaccurate_time_raises_naming_t(self, t):
+        # the norm of t d is 7e12 and 7e15, over the bound 2**20; the result
+        # used to come back finite with orthogonality residuals 7e-4 and 0.99
+        d = derivation_basis().from_coordinates([1] * 14)
+        with pytest.raises(ValueError, match=re.escape(f"t = {t}")):
+            exp_derivation_numeric(d, t)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.lists(st.integers(-2, 2), min_size=14, max_size=14).filter(any), st.sampled_from([1, -1]))
+    def test_just_under_the_norm_bound_stays_orthogonal(self, coords, sign):
+        d = derivation_basis().from_coordinates(coords)
+        nrm = max(sum(abs(float(v)) for v in d.matrix.row(i)) for i in range(8))
+        t = sign * derivations._EXP_MAX_NORM / nrm
+        while max(sum(abs(float(v) * t) for v in d.matrix.row(i)) for i in range(8)) > derivations._EXP_MAX_NORM:
+            t = math.nextafter(t, 0.0)
+        a = np.array(exp_derivation_numeric(d, t))
+        assert np.abs(a.T @ a - np.eye(8)).max() < 1e-9
 
     @pytest.mark.parametrize("t", [1e100, -1e300])
     def test_an_overflowing_result_raises_naming_t(self, t):
