@@ -19,7 +19,7 @@ Elements of both models are ``linalg._IntCoords`` (int numerators over one
 denominator).  ``Octonion`` wraps kernels on int 8-tuples (``_product``,
 ``_dot`` and ``_signs`` for conj, gamma and gamma1) and reduces a product
 or sum by one gcd, a sign change by none (it cannot create a common
-factor).  Check 7 runs its random pairs through the kernels directly.
+factor).  Check 7 runs the linearised laws on the units through them.
 """
 
 from __future__ import annotations

@@ -48,21 +48,9 @@ def _census6():
     return scan(6)
 
 
-def _random_ratio(rng) -> tuple:
-    """A numerator in -9..9 and a denominator in 1..9, as randint draws them."""
-    return rng.randrange(19) - 9, rng.randrange(9) + 1
-
-
 def _random_fraction(rng) -> Fraction:
-    return Fraction(*_random_ratio(rng))
-
-
-def _random_numerators(rng) -> tuple:
-    """Eight _random_ratio draws as int numerators over the lcm of their
-    denominators, unreduced."""
-    draws = [_random_ratio(rng) for _ in range(8)]
-    den = math.lcm(*(d for _, d in draws))
-    return tuple([n * (den // d) for n, d in draws])
+    """A numerator in -9..9 over a denominator in 1..9, as randint draws them."""
+    return Fraction(rng.randrange(19) - 9, rng.randrange(9) + 1)
 
 
 def _random_cartan(rng) -> CartanElement:
@@ -194,24 +182,32 @@ def check_06b_su3_stabilizer_shadow() -> str:
 
 
 def check_07_cayley_laws() -> str:
-    """Alternativity, composition and conjugation anti-automorphism on 500
-    random rational octonions; gamma/gamma1 are automorphisms on all 64
-    basis pairs and involutions.
-
-    Each law on the random pairs is homogeneous in x and in y, so it is
-    tested on their integer numerators over a common denominator."""
-    product, dot, signs = cayley._product, cayley._dot, cayley._signs
+    """Alternativity, composition and the conjugation anti-automorphism for
+    all octonions, by their full linearisations on the units e0..e7, with one
+    dense pair tying _product to its 64 unit products (notes/decisions.md);
+    gamma/gamma1 are involutions and automorphisms on all 64 basis pairs."""
+    m, dot, signs, sub = cayley._product, cayley._dot, cayley._signs, cayley._sub
     c, g, g1 = cayley._CONJ_SIGNS, cayley._GAMMA_SIGNS, cayley._GAMMA1_SIGNS
-    rng = random.Random(20240801)
-    for _ in range(500):
-        x = _random_numerators(rng)
-        y = _random_numerators(rng)
-        xy, xx = product(x, y), product(x, x)
-        assert product(x, xy) == product(xx, y), "left alternativity fails"
-        assert product(product(y, x), x) == product(y, xx), "right alternativity fails"
-        assert dot(xy, xy) == dot(x, x) * dot(y, y), "composition fails"
-        assert signs(c, xy) == product(signs(c, y), signs(c, x)), "anti-automorphism fails"
-        assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, "involution fails"
+    e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    t = [[m(x, y) for y in e] for x in e]
+    pairs = [(i, j) for i in range(8) for j in range(i, 8)]
+    for i, j in pairs:  # x, z = e_i, e_j: each linearised law is symmetric in x and z
+        x, z, xz, zx = e[i], e[j], t[i][j], t[j][i]
+        for k, y in enumerate(e):  # x(zy) + z(xy) = (xz)y + (zx)y and (yx)z + (yz)x = y(xz) + y(zx)
+            xy, zy, yx, yz = t[i][k], t[j][k], t[k][i], t[k][j]
+            assert sub(m(x, zy), m(xz, y)) == sub(m(zx, y), m(z, xy)), f"left alternativity fails at {i, j, k}"
+            assert sub(m(yx, z), m(y, xz)) == sub(m(y, zx), m(yz, x)), f"right alternativity fails at {i, j, k}"
+    # <xy, zw> + <xw, zy> = 2<x, z><y, w> on x, z, y, w = e_i, e_j, e_k, e_l, symmetric in x, z and in y, w
+    for i, j, k, l in [p + q for p in pairs for q in pairs]:
+        lhs = dot(t[i][k], t[j][l]) + dot(t[i][l], t[j][k])
+        assert lhs == 2 * dot(e[i], e[j]) * dot(e[k], e[l]), f"composition fails at {i, j, k, l}"
+    for i, x in enumerate(e):
+        for j, y in enumerate(e):
+            assert signs(c, t[i][j]) == m(signs(c, y), signs(c, x)), f"anti-automorphism fails at {i, j}"
+        assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, f"involution fails at {i}"
+    x, y = (2, -3, 5, -7, 11, -13, 17, -19), (23, 29, -31, 37, -41, 43, 47, -53)
+    bilinear = tuple(sum(x[i] * y[j] * t[i][j][k] for i in range(8) for j in range(8)) for k in range(8))
+    assert m(x, y) == bilinear, "the product is not the bilinear map of the unit products"
     basis = [Octonion.basis(i) for i in range(8)]
     for f in (gamma, gamma1):
         for i in range(8):
@@ -219,7 +215,10 @@ def check_07_cayley_laws() -> str:
                 assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
                     f"{f.__name__} not multiplicative on ({i},{j})"
                 )
-    return "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
+    return (
+        "all octonions, linearised on the 8 units: alternative, composition, anti-automorphism; "
+        "gamma, gamma1 automorphisms"
+    )
 
 
 def check_08_model_agreement() -> str:

@@ -30,8 +30,8 @@ from .roots import CartanElement, root_system
 # bound on each --tau literal, checked with linalg's on its exponent
 TAU_MAX_CHARS = 100
 
-# bound on scan --radius: a scan streams its rows in constant memory, and
-# a run at the bound (120,601 points) takes about 0.6 s
+# bound on scan --radius: a scan streams its rows in constant memory, so a
+# run at the bound (120,601 points) needs no more memory than one at radius 6
 SCAN_MAX_RADIUS = 200
 
 

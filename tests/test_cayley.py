@@ -10,6 +10,7 @@ from g2orbits.cayley import (
     MULT_TABLE,
     ComplexModelElement,
     Octonion,
+    _product,
     from_complex_model,
     gamma,
     gamma1,
@@ -263,7 +264,22 @@ class TestComplexModel:
         assert to_complex_model(E[0]) == ComplexModelElement(E[0].coords)
 
 
+ints_9 = st.lists(st.integers(-NINE_DIGITS, NINE_DIGITS), min_size=8, max_size=8).map(tuple)
+
+
 class TestFractionOracle:
+    @oracle_settings
+    @given(ints_9, ints_9)
+    def test_product_kernel_is_the_bilinear_map_of_the_table(self, x, y):
+        # check 7 proves the laws on the unit products; this ties the kernel
+        # Octonion.__mul__ runs to them beyond its one dense pair
+        expansion = [0] * 8
+        for i in range(8):
+            for j in range(8):
+                k, s = MULT_TABLE[i][j]
+                expansion[k] += s * x[i] * y[j]
+        assert _product(x, y) == tuple(expansion)
+
     @oracle_settings
     @given(coords_9, coords_9)
     def test_product_and_inner(self, xs, ys):

@@ -7,13 +7,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from g2orbits import cayley, checks, derivations, linalg
-from g2orbits.cayley import Octonion, _product, gamma, gamma1, inner
+from g2orbits.cayley import MULT_TABLE, Octonion, _product, gamma, gamma1, inner
 from g2orbits.derivations import (
     G2AlgebraBasis,
     adjoint_matrix,
@@ -23,32 +24,35 @@ from g2orbits.linalg import Matrix
 from test_derivations import bracket, killing_form
 
 
+def _random_numerators(rng) -> tuple:
+    """Eight _random_fraction draws as int numerators over the lcm of their
+    denominators, and that lcm."""
+    draws = [checks._random_fraction(rng) for _ in range(8)]
+    den = math.lcm(*(f.denominator for f in draws))
+    return tuple([f.numerator * (den // f.denominator) for f in draws]), den
+
+
 def _random_octonion(rng) -> Octonion:
-    """Eight random ratios, as int numerators over the lcm of their
-    denominators: equal to the octonion of eight _random_fraction draws."""
-    draws = [checks._random_ratio(rng) for _ in range(8)]
-    den = math.lcm(*(d for _, d in draws))
-    return Octonion._reduced([n * (den // d) for n, d in draws], den)
+    return Octonion._reduced(*_random_numerators(rng))
 
 
 def test_octonion_draws_equal_the_fraction_built_ones():
-    # check 7's cleared draws, over the lcm of the same draws' denominators,
-    # against Octonion([_random_fraction ...]), the form they had before:
-    # same values, and the same state after
-    new, raw, old = random.Random(20240801), random.Random(20240801), random.Random(20240801)
+    # the cleared draws of the numerator-form oracle, over their lcm, against
+    # Octonion([_random_fraction ...]): same values, and the same state after
+    new, old = random.Random(20240801), random.Random(20240801)
     for _ in range(1000):
-        den = math.lcm(*(checks._random_ratio(raw)[1] for _ in range(8)))
-        x = Octonion._reduced(checks._random_numerators(new), den)
+        x = Octonion._reduced(*_random_numerators(new))
         y = Octonion([checks._random_fraction(old) for _ in range(8)])
         assert (x.num, x.den) == (y.num, y.den)
     assert new.getstate() == old.getstate()
 
 
 def test_ratio_draws_equal_the_randint_ones():
-    # randint(a, b) is a + randrange(b - a + 1): same values, same state after
+    # randint(a, b) is a + randrange(b - a + 1): the fractions check 10 drew
+    # from Fraction(randint(-9, 9), randint(1, 9)), and the same state after
     new, old = random.Random(20240801), random.Random(20240801)
     for _ in range(10_000):
-        assert checks._random_ratio(new) == (old.randint(-9, 9), old.randint(1, 9))
+        assert checks._random_fraction(new) == Fraction(old.randint(-9, 9), old.randint(1, 9))
     assert new.getstate() == old.getstate()
 
 
@@ -128,9 +132,13 @@ class TestCheck04:
             checks.check_04_root_system()
 
 
+#: the detail line of check 7 while it sampled 500 random pairs
+SAMPLED_DETAIL = "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
+
+
 def cayley_laws_on_octonions() -> str:
-    """Check 7 before it ran on integer numerators: the laws on reduced
-    Octonions, a gcd and a new object per product."""
+    """Check 7 before it ran on integer numerators: the laws on 500 random
+    reduced Octonions, a gcd and a new object per product."""
     rng = random.Random(20240801)
     for _ in range(500):
         x = _random_octonion(rng)
@@ -148,7 +156,34 @@ def cayley_laws_on_octonions() -> str:
                 assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
                     f"{f.__name__} not multiplicative on ({i},{j})"
                 )
-    return "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
+    return SAMPLED_DETAIL
+
+
+def cayley_laws_on_numerators() -> str:
+    """Check 7 before the linearised laws replaced it: the laws on the
+    cleared numerators of the same 500 pairs, through cayley's int kernels.
+    Each law is homogeneous in x and in y, so it holds for the pair exactly
+    when it holds for their numerators."""
+    product, dot, signs = cayley._product, cayley._dot, cayley._signs
+    c, g, g1 = cayley._CONJ_SIGNS, cayley._GAMMA_SIGNS, cayley._GAMMA1_SIGNS
+    rng = random.Random(20240801)
+    for _ in range(500):
+        x = _random_numerators(rng)[0]
+        y = _random_numerators(rng)[0]
+        xy, xx = product(x, y), product(x, x)
+        assert product(x, xy) == product(xx, y), "left alternativity fails"
+        assert product(product(y, x), x) == product(y, xx), "right alternativity fails"
+        assert dot(xy, xy) == dot(x, x) * dot(y, y), "composition fails"
+        assert signs(c, xy) == product(signs(c, y), signs(c, x)), "anti-automorphism fails"
+        assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, "involution fails"
+    basis = [Octonion.basis(i) for i in range(8)]
+    for f in (gamma, gamma1):
+        for i in range(8):
+            for j in range(8):
+                assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
+                    f"{f.__name__} not multiplicative on ({i},{j})"
+                )
+    return SAMPLED_DETAIL
 
 
 def product_with_a_flipped_term(x, y):
@@ -157,27 +192,79 @@ def product_with_a_flipped_term(x, y):
     return (z[0] + 2 * x[1] * y[1],) + z[1:]
 
 
+def product_with_a_flipped_unit_product(i, j):
+    """The doubling product with e_i e_j = s e_k turned into -s e_k and every
+    other unit product kept: still bilinear, so only the laws can catch it."""
+    k, s = MULT_TABLE[i][j]
+
+    def flipped(x, y):
+        z = list(_product(x, y))
+        z[k] -= 2 * s * x[i] * y[j]
+        return tuple(z)
+
+    return flipped
+
+
+def product_with_a_quadratic_term(x, y):
+    """The doubling product plus x1 x2 on e0: zero on every pair of units."""
+    z = _product(x, y)
+    return (z[0] + x[1] * x[2],) + z[1:]
+
+
 #: conjugation's signs with the e7 coordinate left un-negated
 CONJ_SIGNS_LEAVING_E7 = (1, -1, -1, -1, -1, -1, -1, 1)
 
+ALL_FORMS = [cayley_laws_on_octonions, cayley_laws_on_numerators, checks.check_07_cayley_laws]
+FORM_IDS = ["oracle", "numerators", "check"]
+
 
 class TestCheck07:
-    DETAIL = "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
+    DETAIL = (
+        "all octonions, linearised on the 8 units: alternative, composition, anti-automorphism; "
+        "gamma, gamma1 automorphisms"
+    )
 
     def test_agrees_with_the_octonion_oracle(self):
-        assert checks.check_07_cayley_laws() == cayley_laws_on_octonions() == self.DETAIL
+        # the sampled forms pass on the same algebra the linearised laws prove
+        assert checks.check_07_cayley_laws() == self.DETAIL
+        assert cayley_laws_on_octonions() == cayley_laws_on_numerators() == SAMPLED_DETAIL
 
-    @pytest.mark.parametrize("law", [cayley_laws_on_octonions, checks.check_07_cayley_laws], ids=["oracle", "check"])
+    @pytest.mark.parametrize("law", ALL_FORMS, ids=FORM_IDS)
     def test_a_flipped_product_term_fails(self, monkeypatch, law):
         monkeypatch.setattr(cayley, "_product", product_with_a_flipped_term)
         with pytest.raises(AssertionError, match="left alternativity fails"):
             law()
 
-    @pytest.mark.parametrize("law", [cayley_laws_on_octonions, checks.check_07_cayley_laws], ids=["oracle", "check"])
+    @pytest.mark.parametrize("law", ALL_FORMS, ids=FORM_IDS)
     def test_a_conjugation_missing_a_sign_fails(self, monkeypatch, law):
         monkeypatch.setattr(cayley, "_CONJ_SIGNS", CONJ_SIGNS_LEAVING_E7)
         with pytest.raises(AssertionError, match="anti-automorphism fails"):
             law()
+
+    @pytest.mark.parametrize("i,j", [(1, 2), (3, 5), (0, 4), (6, 7), (7, 7)])
+    def test_a_unit_product_with_its_sign_flipped_fails(self, monkeypatch, i, j):
+        flipped = product_with_a_flipped_unit_product(i, j)
+        e = [tuple(int(a == b) for b in range(8)) for a in range(8)]
+        assert [(a, b) for a in range(8) for b in range(8) if flipped(e[a], e[b]) != _product(e[a], e[b])] == [(i, j)]
+        monkeypatch.setattr(cayley, "_product", flipped)
+        # "fails at" names a law and its units: the dense pair is not what fails
+        with pytest.raises(AssertionError, match="fails at"):
+            checks.check_07_cayley_laws()
+
+    def test_a_term_that_is_not_bilinear_fails_the_dense_pair(self, monkeypatch):
+        monkeypatch.setattr(cayley, "_product", product_with_a_quadratic_term)
+        with pytest.raises(AssertionError, match="not the bilinear map"):
+            checks.check_07_cayley_laws()
+
+    def test_makes_no_random_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check 7 drew from random")
+
+        monkeypatch.setattr(random.Random, "random", refuse)
+        monkeypatch.setattr(random.Random, "getrandbits", refuse)
+        with pytest.raises(AssertionError, match="drew from random"):
+            random.Random(1).randrange(19)
+        assert checks.check_07_cayley_laws() == self.DETAIL
 
     def test_one_product_kernel(self, monkeypatch):
         def refuse(x, y):
@@ -190,8 +277,8 @@ class TestCheck07:
             checks.check_07_cayley_laws()
 
     def test_a_check_run_makes_few_octonion_products(self):
-        # check 7's 500 random pairs build no Octonion; its 64-pair gamma
-        # and gamma1 half and the other checks make the rest
+        # check 7's laws build no Octonion; its 64-pair gamma and gamma1
+        # half and the other checks make the rest
         code = (
             "from g2orbits import checks\n"
             "from g2orbits.cayley import Octonion\n"

@@ -388,4 +388,4 @@ def test_check_stdout_is_byte_identical_and_exits_3(capsys):
     # dimension 8; the true value is 6), so check exits 3
     code, out, err = run_cli(capsys, "check")
     assert code == 3
-    assert hashlib.sha256(out.encode()).hexdigest() == "ab9f1eed58129e847299f7e791eb75b484c549cf274e875d5debf539931fdd6a"
+    assert hashlib.sha256(out.encode()).hexdigest() == "43f531d77a171b13fe9bed340e6d83452ff94d53d620171f96a058f62bf70a37"

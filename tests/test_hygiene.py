@@ -39,9 +39,9 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-# the rational-to-int clearing lives in linalg; checks clears raw (n, d)
-# draws without building Fractions
-LCM_ALLOWED = {"linalg.py", "checks.py"}
+# the rational-to-int clearing lives in linalg, the one module that crosses
+# between rationals and integers
+LCM_ALLOWED = {"linalg.py"}
 
 
 def _lcm_uses(source: str):
