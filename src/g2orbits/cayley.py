@@ -25,7 +25,7 @@ factor).  Check 7 runs the linearised laws on the units through them.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .linalg import Matrix, _IntCoords, rank
 
@@ -67,7 +67,7 @@ class Octonion(_IntCoords):
 
     @classmethod
     def basis(cls, i: int) -> "Octonion":
-        if not 0 <= i < 8:
+        if not 0 <= index(i) < 8:  # a float or Fraction index raises TypeError
             raise ValueError("basis index out of range")
         return cls._coprime([int(j == i) for j in range(8)], 1)
 

@@ -9,7 +9,8 @@ Subcommands:
     check        run the full verification suite
 
 Exit codes: 0 success, 2 invalid input, 3 internal invariant violation
-(or a failing verification in `check`).
+(or a failing verification in `check`); the `g2orbits` script also exits 1
+when its stdout is closed early, as by `g2orbits scan ... | head`.
 """
 
 from __future__ import annotations
@@ -193,7 +194,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to
+        # devnull, as the signal module's note on SIGPIPE recommends
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .errors import InternalInvariantError
 from .linalg import _Record, kernel_basis, rank
 from .roots import (
     TAU_GENERIC,
-    CartanElement,
     _coerce_cartan,
     cartan_adjoint,
     roots_in,
@@ -196,18 +195,12 @@ _JSON_ENTRY = """\
 class Census(_Record):
     """Orbit-type counts over the lattice ball of a radius.
 
-    A census holds no per-point data: its rows, renderings and reports are
+    A census holds no per-point data: its rows and renderings are
     generated again from lattice_rows(radius) whenever they are asked for,
     so CSV and JSON stream in constant memory at any radius.
     """
 
     __slots__ = ("radius", "counts")
-
-    @property
-    def reports(self) -> tuple:
-        """The full classify report of every lattice point, in scan order,
-        under the default convention."""
-        return tuple(classify(CartanElement.of(t1, t2, t3)) for t1, t2, t3, _, _ in lattice_rows(self.radius))
 
     def _header(self) -> dict:
         return {

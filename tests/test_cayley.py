@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,15 @@ class TestProduct:
         for _ in range(100):
             x, y = random_octonion(rng), random_octonion(rng)
             assert norm(x * y) == norm(x) * norm(y)
+
+    @pytest.mark.parametrize("i", [3, True, np.int64(5), 1.5, Fraction(1, 2), Fraction(2)], ids=repr)
+    def test_basis_index_is_an_integer(self, i):
+        # a float or Fraction index once gave the zero octonion silently
+        if isinstance(i, (float, Fraction)):
+            with pytest.raises(TypeError):
+                Octonion.basis(i)
+        else:
+            assert Octonion.basis(i) == E[int(i)]
 
     def test_table_is_signed_permutation(self):
         for i in range(8):

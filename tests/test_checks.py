@@ -1,7 +1,9 @@
 """Tests of the verification suite itself: the draws it makes, that
-checks 7 and 9 fail on a broken algebra and agree with the forms they
-replaced, and that check 9 needs no 8x8 bracket."""
+checks 5, 7, 9 and 10 fail on a broken algebra or classifier and agree with
+the forms they replaced, and that check 9 needs no 8x8 bracket."""
 
+import ast
+import inspect
 import math
 import os
 import random
@@ -13,21 +15,35 @@ from types import SimpleNamespace
 
 import pytest
 
-from g2orbits import cayley, checks, derivations, linalg
+from g2orbits import cayley, checks, derivations, linalg, orbits
 from g2orbits.cayley import MULT_TABLE, Octonion, _product, gamma, gamma1, inner
 from g2orbits.derivations import (
     G2AlgebraBasis,
+    SubalgebraSummary,
     adjoint_matrix,
     derivation_basis,
 )
 from g2orbits.linalg import Matrix
+from g2orbits.orbits import OrbitType, classify
+from g2orbits.roots import CartanElement, roots_in, root_system, vanishing_mask, weyl_reflect
 from test_derivations import bracket, killing_form
+
+
+def _random_fraction(rng) -> Fraction:
+    """A numerator in -9..9 over a denominator in 1..9, as randint draws them."""
+    return Fraction(rng.randrange(19) - 9, rng.randrange(9) + 1)
+
+
+def _random_cartan(rng) -> CartanElement:
+    t1 = _random_fraction(rng)
+    t2 = _random_fraction(rng)
+    return CartanElement.of(t1, t2, -t1 - t2)
 
 
 def _random_numerators(rng) -> tuple:
     """Eight _random_fraction draws as int numerators over the lcm of their
     denominators, and that lcm."""
-    draws = [checks._random_fraction(rng) for _ in range(8)]
+    draws = [_random_fraction(rng) for _ in range(8)]
     den = math.lcm(*(f.denominator for f in draws))
     return tuple([f.numerator * (den // f.denominator) for f in draws]), den
 
@@ -36,13 +52,25 @@ def _random_octonion(rng) -> Octonion:
     return Octonion._reduced(*_random_numerators(rng))
 
 
+def refuse_random(monkeypatch):
+    """Make every draw from a random.Random raise."""
+
+    def refuse(*args):
+        raise AssertionError("drew from random")
+
+    monkeypatch.setattr(random.Random, "random", refuse)
+    monkeypatch.setattr(random.Random, "getrandbits", refuse)
+    with pytest.raises(AssertionError, match="drew from random"):
+        random.Random(1).randrange(19)
+
+
 def test_octonion_draws_equal_the_fraction_built_ones():
     # the cleared draws of the numerator-form oracle, over their lcm, against
     # Octonion([_random_fraction ...]): same values, and the same state after
     new, old = random.Random(20240801), random.Random(20240801)
     for _ in range(1000):
         x = Octonion._reduced(*_random_numerators(new))
-        y = Octonion([checks._random_fraction(old) for _ in range(8)])
+        y = Octonion([_random_fraction(old) for _ in range(8)])
         assert (x.num, x.den) == (y.num, y.den)
     assert new.getstate() == old.getstate()
 
@@ -52,7 +80,7 @@ def test_ratio_draws_equal_the_randint_ones():
     # from Fraction(randint(-9, 9), randint(1, 9)), and the same state after
     new, old = random.Random(20240801), random.Random(20240801)
     for _ in range(10_000):
-        assert checks._random_fraction(new) == Fraction(old.randint(-9, 9), old.randint(1, 9))
+        assert _random_fraction(new) == Fraction(old.randint(-9, 9), old.randint(1, 9))
     assert new.getstate() == old.getstate()
 
 
@@ -257,13 +285,7 @@ class TestCheck07:
             checks.check_07_cayley_laws()
 
     def test_makes_no_random_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("check 7 drew from random")
-
-        monkeypatch.setattr(random.Random, "random", refuse)
-        monkeypatch.setattr(random.Random, "getrandbits", refuse)
-        with pytest.raises(AssertionError, match="drew from random"):
-            random.Random(1).randrange(19)
+        refuse_random(monkeypatch)
         assert checks.check_07_cayley_laws() == self.DETAIL
 
     def test_one_product_kernel(self, monkeypatch):
@@ -289,6 +311,123 @@ class TestCheck07:
             "print(len(calls))"
         )
         assert int(last_line_of(code)) <= 600
+
+
+def test_only_check_11_draws_from_random():
+    tree = ast.parse(inspect.getsource(checks))
+    users = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "random" for n in ast.walk(fn))
+    }
+    assert users == {"check_11_numeric_bridge"}
+
+
+#: the detail line of check 10 while it sampled 50 random tau
+SAMPLED_WEYL_DETAIL = "50 random tau: 12 reflections + rescaling leave the classification unchanged"
+
+
+def weyl_scaling_on_random_tau() -> str:
+    """Check 10 before it ran on the eight vanishing sets: 50 seeded random
+    tau, each reflected in the 12 roots and rescaled by one random nonzero
+    fraction."""
+    rng = random.Random(4242)
+    roots = root_system()
+    for _ in range(50):
+        tau = _random_cartan(rng)
+        rep = classify(tau)
+        for r in roots:
+            rep2 = classify(weyl_reflect(r, tau))
+            assert rep2.orbit_type == rep.orbit_type, (tau.tau, r.coeffs)
+        c = Fraction(0)
+        while c == 0:
+            c = _random_fraction(rng)
+        rep3 = classify(tau.scaled(c))
+        assert rep3.orbit_type == rep.orbit_type, (tau.tau, c)
+        assert rep3.stabilizer_dim == rep.stabilizer_dim
+        assert rep3.structure == rep.structure
+        assert rep3.vanishing == rep.vanishing
+    return SAMPLED_WEYL_DETAIL
+
+
+#: the vanishing set of the short pair (0,1,0)/(1,0,1), which the 50 random
+#: tau of the old check 10 never reached
+SHORT_PAIR = vanishing_mask(-1, 0, 1)
+
+
+class TestOrbitChecksOnVanishingSets:
+    DETAILS = {
+        checks.check_02_four_orbit_types: "radius 6: {'FULL': 1, 'TORUS': 72, 'DIM4_SHORT': 36, 'DIM4_LONG': 18}",
+        checks.check_05_stabilizer_fingerprints: "54 DIM4 fingerprints (4,3,1), 72 TORUS fingerprints abelian dim 2",
+        checks.check_10_weyl_scaling_invariance: (
+            "8 vanishing sets: 12 reflections + 3 rescalings leave the classification unchanged"
+        ),
+    }
+
+    def test_one_representative_per_vanishing_set(self):
+        reps = checks._vanishing_representatives()
+        assert len(reps) == 8
+        assert reps[SHORT_PAIR] == CartanElement.of(-6, 0, 6)
+        assert all(vanishing_mask(*tau.num) == mask for mask, tau in reps.items())
+
+    @pytest.mark.parametrize("check", list(DETAILS), ids=lambda f: f.__name__[:8])
+    def test_makes_no_random_draw(self, monkeypatch, check):
+        refuse_random(monkeypatch)
+        assert check() == self.DETAILS[check]
+
+    @pytest.mark.parametrize(
+        "check,expected",
+        [
+            (checks.check_02_four_orbit_types, 0),
+            (checks.check_05_stabilizer_fingerprints, 8),
+            (checks.check_10_weyl_scaling_invariance, 8 * (1 + 12 + len(checks.SCALES))),
+        ],
+        ids=["02", "05", "10"],
+    )
+    def test_classify_calls(self, monkeypatch, check, expected):
+        # one call per vanishing set and image, none per lattice point
+        calls = []
+        monkeypatch.setattr(checks, "classify", lambda tau: calls.append(tau) or classify(tau))
+        check()
+        assert len(calls) == expected
+
+    def test_scales_are_nonzero_and_of_every_kind(self):
+        assert 0 not in checks.SCALES
+        assert any(c < 0 for c in checks.SCALES)
+        assert any(c.denominator > 1 for c in checks.SCALES)
+        assert any(c.denominator >= 10**8 for c in checks.SCALES)
+
+    def test_a_short_pair_answering_long_fails_check_10(self, monkeypatch):
+        assert [r.coeffs for r in roots_in(SHORT_PAIR)] == [(0, 1, 0), (1, 0, 1)]
+        stabilizer = orbits._stabilizer
+        monkeypatch.setattr(
+            orbits, "_stabilizer", lambda mask: (4, OrbitType.DIM4_LONG) if mask == SHORT_PAIR else stabilizer(mask)
+        )
+        with pytest.raises(AssertionError):
+            checks.check_10_weyl_scaling_invariance()
+
+    def test_a_short_pair_fingerprint_of_4_4_0_fails_check_5(self, monkeypatch):
+        structure = orbits._structure
+        wrong = SubalgebraSummary(dim=4, derived_dim=4, center_dim=0, is_abelian=False)
+        monkeypatch.setattr(orbits, "_structure", lambda mask: wrong if mask == SHORT_PAIR else structure(mask))
+        with pytest.raises(AssertionError):
+            checks.check_05_stabilizer_fingerprints()
+
+    def test_agrees_with_the_sampled_oracle(self):
+        # the 50-tau form passes on the classifier the vanishing sets prove
+        assert checks.check_10_weyl_scaling_invariance() == self.DETAILS[checks.check_10_weyl_scaling_invariance]
+        assert weyl_scaling_on_random_tau() == SAMPLED_WEYL_DETAIL
+
+    def test_sampled_oracle_misses_three_vanishing_sets(self):
+        rng = random.Random(4242)
+        masks = set()
+        for _ in range(50):
+            masks.add(vanishing_mask(*_random_cartan(rng).num))
+            while _random_fraction(rng) == 0:
+                pass
+        assert len(masks) == 5
+        assert not masks & {vanishing_mask(0, 0, 0), SHORT_PAIR, vanishing_mask(-1, 2, -1)}
 
 
 def test_check_11_detail_is_pinned():

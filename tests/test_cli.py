@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,22 @@ class TestScanCommand:
         assert code == 0, err
         assert out == expected
 
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_closed_stdout_pipe_exits_1_quietly(self, buffered):
+        # the reader takes one line and closes the pipe, as `| head -1` does
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "g2orbits", "scan", "--radius", str(cli.SCAN_MAX_RADIUS), "--format", "csv"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"tau1,tau2,tau3,stabilizer_dim,orbit_type\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
     @pytest.mark.parametrize("radius", [1, 2, 9])
     def test_streamed_json_is_the_dumped_census(self, capsys, radius):
         code, out, err = run_cli(capsys, "scan", "--radius", str(radius), "--format", "json")
@@ -388,4 +408,4 @@ def test_check_stdout_is_byte_identical_and_exits_3(capsys):
     # dimension 8; the true value is 6), so check exits 3
     code, out, err = run_cli(capsys, "check")
     assert code == 3
-    assert hashlib.sha256(out.encode()).hexdigest() == "43f531d77a171b13fe9bed340e6d83452ff94d53d620171f96a058f62bf70a37"
+    assert hashlib.sha256(out.encode()).hexdigest() == "4a6e38ada1f165f25ef1abd39fd45576c6908f3ceec7f91335a8dad61097134a"
