@@ -16,7 +16,8 @@ import math
 import random
 import time
 from fractions import Fraction
-from operator import attrgetter, mul
+from functools import lru_cache
+from operator import add, attrgetter, mul
 
 from . import cayley
 from .cayley import (
@@ -47,10 +48,11 @@ from .roots import TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_sy
 SCALES = (Fraction(-1), Fraction(3, 7), Fraction(-271828183, 314159265))
 
 
+@lru_cache(maxsize=1)
 def _vanishing_representatives() -> dict:
     """The first point of the radius-6 ball with each vanishing set, keyed by
-    its vanishing_mask.  The centralizer of tau depends only on that set, so
-    one tau per set decides each orbit claim (notes/decisions.md)."""
+    its vanishing_mask, once per process.  The centralizer of tau depends only
+    on that set, so one tau per set decides each orbit claim (notes/decisions.md)."""
     reps = {}
     for t1, t2, t3, _, _ in lattice_rows(6):
         mask = vanishing_mask(t1, t2, t3)
@@ -190,17 +192,18 @@ def check_07_cayley_laws() -> str:
     c, g, g1 = cayley._CONJ_SIGNS, cayley._GAMMA_SIGNS, cayley._GAMMA1_SIGNS
     e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
     t = [[m(x, y) for y in e] for x in e]
+    # the associators A[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k)
+    a = [[[sub(m(t[i][j], z), m(x, t[j][k])) for k, z in enumerate(e)] for j in range(8)] for i, x in enumerate(e)]
     pairs = [(i, j) for i in range(8) for j in range(i, 8)]
     for i, j in pairs:  # x, z = e_i, e_j: each linearised law is symmetric in x and z
-        x, z, xz, zx = e[i], e[j], t[i][j], t[j][i]
-        for k, y in enumerate(e):  # x(zy) + z(xy) = (xz)y + (zx)y and (yx)z + (yz)x = y(xz) + y(zx)
-            xy, zy, yx, yz = t[i][k], t[j][k], t[k][i], t[k][j]
-            assert sub(m(x, zy), m(xz, y)) == sub(m(zx, y), m(z, xy)), f"left alternativity fails at {i, j, k}"
-            assert sub(m(yx, z), m(y, xz)) == sub(m(y, zx), m(yz, x)), f"right alternativity fails at {i, j, k}"
+        for k in range(8):  # y = e_k: A(x, z, y) = -A(z, x, y) and A(y, x, z) = -A(y, z, x)
+            assert not any(map(add, a[i][j][k], a[j][i][k])), f"left alternativity fails at {i, j, k}"
+            assert not any(map(add, a[k][i][j], a[k][j][i])), f"right alternativity fails at {i, j, k}"
     # <xy, zw> + <xw, zy> = 2<x, z><y, w> on x, z, y, w = e_i, e_j, e_k, e_l, symmetric in x, z and in y, w
+    gram = [[dot(x, y) for y in e] for x in e]
     for i, j, k, l in [p + q for p in pairs for q in pairs]:
         lhs = dot(t[i][k], t[j][l]) + dot(t[i][l], t[j][k])
-        assert lhs == 2 * dot(e[i], e[j]) * dot(e[k], e[l]), f"composition fails at {i, j, k, l}"
+        assert lhs == 2 * gram[i][j] * gram[k][l], f"composition fails at {i, j, k, l}"
     for i, x in enumerate(e):
         for j, y in enumerate(e):
             assert signs(c, t[i][j]) == m(signs(c, y), signs(c, x)), f"anti-automorphism fails at {i, j}"
@@ -313,11 +316,8 @@ def check_11_numeric_bridge() -> str:
         t = rng.uniform(-2.0, 2.0)
         a = exp_derivation_numeric(d, t)
         cols = tuple(zip(*a))
-        orth = max(
-            abs(sum(map(mul, ci, cj)) - (i == j))
-            for i, ci in enumerate(cols)
-            for j, cj in enumerate(cols)
-        )
+        # each dot product is symmetric bit for bit, so the pairs i <= j suffice
+        orth = max(abs(sum(map(mul, cols[i], cols[j])) - (i == j)) for i in range(8) for j in range(i, 8))
         x, y = unit(), unit()
         auto = max(abs(p - q) for p, q in zip(apply(a, omul(x, y)), omul(apply(a, x), apply(a, y))))
         worst_orth = max(worst_orth, orth)

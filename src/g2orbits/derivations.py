@@ -82,6 +82,9 @@ def leibniz_system() -> Matrix:
 
     The entries are plain ints in -2..2.
     """
+    # e_p e_j = s e_k read backwards: left[j, k] = (p, s), right[i, k] = (q, s) for e_i e_q
+    left = {(j, k): (p, s) for p, row in enumerate(MULT_TABLE) for j, (k, s) in enumerate(row)}
+    right = {(i, k): (q, s) for i, row in enumerate(MULT_TABLE) for q, (k, s) in enumerate(row)}
     rows = []
     for i in range(8):
         for j in range(8):
@@ -89,14 +92,10 @@ def leibniz_system() -> Matrix:
             for k in range(8):
                 row = [0] * 64
                 row[k * 8 + kp] += sp
-                for p in range(8):
-                    kk, ss = MULT_TABLE[p][j]
-                    if kk == k:
-                        row[p * 8 + i] -= ss
-                for q in range(8):
-                    kk, ss = MULT_TABLE[i][q]
-                    if kk == k:
-                        row[q * 8 + j] -= ss
+                p, s = left[j, k]
+                row[p * 8 + i] -= s
+                q, s = right[i, k]
+                row[q * 8 + j] -= s
                 rows.append(row)
     return Matrix.from_rows(rows)
 
@@ -338,35 +337,41 @@ def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:
 
 
 def _matmul(a, b):
-    """Product of two 8x8 float matrices given as row tuples, each entry
-    its 8 products added left to right as Python 3.11's float sum does.  The
-    order is kept on purpose: 3.12's sum compensates, and this fold does not."""
+    """Product of two 7x7 float matrices given by rows, as a list of row
+    lists, each entry its 7 products added left to right as Python 3.11's
+    float sum does.  The order is kept on purpose: 3.12's sum compensates,
+    and this fold does not."""
     cols = tuple(zip(*b))
-    return tuple(
-        tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5 + r6 * c6 + r7 * c7
-              for c0, c1, c2, c3, c4, c5, c6, c7 in cols)
-        for r0, r1, r2, r3, r4, r5, r6, r7 in a
-    )
+    return [[r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5 + r6 * c6 + r7 * c7
+             for c1, c2, c3, c4, c5, c6, c7 in cols]
+            for r1, r2, r3, r4, r5, r6, r7 in a]
 
 
 def exp_derivation_numeric(d: Derivation, t: float):
     """Floating-point exp(t d) by scaling and squaring, in plain floats.
 
-    Returns the 8x8 result as a tuple of 8 row tuples of floats.  The
-    matrix t d is halved until its row-sum norm is at most 1/2, the Taylor
-    series of degree 16 runs by Horner's rule, and the result is squared
-    back; it is approximately orthogonal and approximately an algebra
+    Returns the 8x8 result as a tuple of 8 row tuples of floats, with e0
+    fixed: the work runs on the 7x7 block of rows and columns 1..7, and a d
+    with a nonzero entry in row or column 0 raises ValueError.  The block t d
+    is halved until its row-sum norm is at most 1/2, the Taylor series of
+    degree 16 runs by Horner's rule on p by columns, and the result is
+    squared back; every entry equals (==) the 8x8 computation's, whose extra
+    terms are signed zeros at the head of each fold (notes/decisions.md).
+    It is approximately orthogonal and approximately an algebra
     automorphism, losing accuracy as |t| times the norm of d grows.  A
     non-finite t or one too large for a float, a t d of norm over 2**20
     (_EXP_MAX_NORM), or a non-finite result raises ValueError.
     """
+    e = d.matrix.entries
+    if any(e[:8]) or any(e[::8]):
+        raise ValueError("d has a nonzero entry in row or column 0, so it is not a derivation")
     try:
         t = float(t)
     except OverflowError:  # an int or a Fraction beyond the float range
         t = math.inf
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    a = [[float(x) * t for x in d.matrix.row(i)] for i in range(8)]
+    a = [[float(x) * t for x in e[8 * i + 1 : 8 * i + 8]] for i in range(1, 8)]
     nrm = max(sum(abs(v) for v in row) for row in a)
     if not nrm <= _EXP_MAX_NORM:  # also when nrm is not a finite float
         raise ValueError(f"t d is too large for floats at t = {t}")
@@ -375,15 +380,14 @@ def exp_derivation_numeric(d: Derivation, t: float):
         nrm /= 2.0
         squarings += 1
     m = [[math.ldexp(v, -squarings) for v in row] for row in a]  # v / 2^squarings, with no overflow
-    eye = tuple(tuple(float(i == j) for j in range(8)) for i in range(8))
-    p = eye
+    p = eye = tuple(tuple(float(i == j) for j in range(7)) for i in range(7))  # p by columns
     for k in range(_EXP_DEGREE, 0, -1):
-        p = tuple(
-            tuple(e + v / k for e, v in zip(erow, row))
-            for erow, row in zip(eye, _matmul(m, p))
-        )
+        p = [[ei + (r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5 + r6 * c6 + r7 * c7) / k
+              for ei, (r1, r2, r3, r4, r5, r6, r7) in zip(erow, m)]
+             for erow, (c1, c2, c3, c4, c5, c6, c7) in zip(eye, p)]
+    p = tuple(zip(*p))
     for _ in range(squarings):
         p = _matmul(p, p)
     if not all(math.isfinite(v) for row in p for v in row):
         raise ValueError(f"exp(t d) overflows at t = {t}")
-    return p
+    return ((1.0,) + (0.0,) * 7,) + tuple((0.0, *row) for row in p)

@@ -282,8 +282,7 @@ def _quotient(v: int, d: int) -> int | Fraction:
 
 def _normalize_int_row(row) -> None:
     """Divide an integer row by the gcd of its entries, leading entry > 0."""
-    g = 0
-    lead = 0
+    g = lead = 0
     for v in row:
         if v:
             if lead == 0:
@@ -307,39 +306,34 @@ def _rref_int(rows) -> tuple:
     Returns the pivot columns.  Pivot rule: first row at or below the
     current one with a nonzero entry, columns left to right.  Row updates
     are row*pivot - pivot_row*factor followed by a gcd reduction, so all
-    intermediate values stay integers.  The caller turns the result into
-    the rational RREF by dividing each row by its pivot.
+    intermediate values stay integers; the subtraction walks only the
+    pivot row's nonzero columns, and a row is rescaled only by a pivot
+    other than 1.  The caller turns the result into the rational RREF by
+    dividing each row by its pivot.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        hit = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                hit = i
+        for hit in range(r, nrows):
+            if rows[hit][c]:
                 break
-        if hit < 0:
+        else:
             continue
-        if hit != r:
-            rows[r], rows[hit] = rows[hit], rows[r]
+        rows[r], rows[hit] = rows[hit], rows[r]
         prow = rows[r]
         _normalize_int_row(prow)
         pv = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                # the whole row is rescaled by pv, including entries left
-                # of c (rows above the pivot can be nonzero there)
-                for j in range(c):
-                    if row[j]:
-                        row[j] = row[j] * pv
-                for j in range(c, ncols):
-                    row[j] = row[j] * pv - prow[j] * f
+        nonzero = None
+        for row in rows:
+            f = row[c]
+            if f and row is not prow:
+                nonzero = nonzero or [(j, v) for j, v in enumerate(prow) if v]
+                if pv != 1:  # the whole row, left of c too (rows above the pivot can be nonzero there)
+                    row[:] = [v * pv for v in row]
+                for j, v in nonzero:
+                    row[j] -= v * f
                 _normalize_int_row(row)
         pivots.append(c)
         r += 1

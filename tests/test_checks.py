@@ -214,6 +214,29 @@ def cayley_laws_on_numerators() -> str:
     return SAMPLED_DETAIL
 
 
+def alternativity_by_pairs() -> str:
+    """Check 7's alternativity half before it read one associator table: the
+    two linearised laws on the units, each side formed by its own products
+    (four per law and case, 2,304 in all)."""
+    m, sub = cayley._product, cayley._sub
+    e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    t = [[m(x, y) for y in e] for x in e]
+    for i in range(8):
+        for j in range(i, 8):
+            x, z, xz, zx = e[i], e[j], t[i][j], t[j][i]
+            for k, y in enumerate(e):  # x(zy) + z(xy) = (xz)y + (zx)y and (yx)z + (yz)x = y(xz) + y(zx)
+                xy, zy, yx, yz = t[i][k], t[j][k], t[k][i], t[k][j]
+                assert sub(m(x, zy), m(xz, y)) == sub(m(zx, y), m(z, xy)), f"left alternativity fails at {i, j, k}"
+                assert sub(m(yx, z), m(y, xz)) == sub(m(y, zx), m(yz, x)), f"right alternativity fails at {i, j, k}"
+    return "alternative on the units"
+
+
+def first_line(exc) -> str:
+    """The message of an assert in this module, without the explanation
+    pytest's assertion rewriting appends to it."""
+    return str(exc).partition("\n")[0]
+
+
 def product_with_a_flipped_term(x, y):
     """The doubling product with the term -x1 y1 of e0 written as +x1 y1."""
     z = _product(x, y)
@@ -275,9 +298,33 @@ class TestCheck07:
         e = [tuple(int(a == b) for b in range(8)) for a in range(8)]
         assert [(a, b) for a in range(8) for b in range(8) if flipped(e[a], e[b]) != _product(e[a], e[b])] == [(i, j)]
         monkeypatch.setattr(cayley, "_product", flipped)
-        # "fails at" names a law and its units: the dense pair is not what fails
-        with pytest.raises(AssertionError, match="fails at"):
+        # a law and its units fail, not the dense pair: left alternativity
+        # first, at the case where the pairwise oracle fails
+        with pytest.raises(AssertionError, match="left alternativity fails at") as failure:
             checks.check_07_cayley_laws()
+        with pytest.raises(AssertionError) as oracle_failure:
+            alternativity_by_pairs()
+        assert str(failure.value) == first_line(oracle_failure.value)
+
+    def test_alternativity_agrees_with_the_pairwise_oracle(self, monkeypatch):
+        assert alternativity_by_pairs() == "alternative on the units"
+        monkeypatch.setattr(cayley, "_product", product_with_a_flipped_term)
+        with pytest.raises(AssertionError) as failure:
+            checks.check_07_cayley_laws()
+        with pytest.raises(AssertionError) as oracle_failure:
+            alternativity_by_pairs()
+        assert str(failure.value) == first_line(oracle_failure.value) == "left alternativity fails at (1, 1, 2)"
+
+    def test_product_calls(self, monkeypatch):
+        # 64 unit products, 1,024 for the associator table, 64
+        # anti-automorphism cases, 1 dense pair and 256 inside the gamma and
+        # gamma1 Octonion products: 1,409 (2,689 with four products per law
+        # and case)
+        calls = []
+        product = cayley._product
+        monkeypatch.setattr(cayley, "_product", lambda x, y: calls.append(1) or product(x, y))
+        checks.check_07_cayley_laws()
+        assert len(calls) <= 1409
 
     def test_a_term_that_is_not_bilinear_fails_the_dense_pair(self, monkeypatch):
         monkeypatch.setattr(cayley, "_product", product_with_a_quadratic_term)
@@ -391,6 +438,13 @@ class TestOrbitChecksOnVanishingSets:
         monkeypatch.setattr(checks, "classify", lambda tau: calls.append(tau) or classify(tau))
         check()
         assert len(calls) == expected
+
+    def test_checks_5_and_10_share_one_search(self):
+        checks._vanishing_representatives.cache_clear()
+        checks.check_05_stabilizer_fingerprints()
+        checks.check_10_weyl_scaling_invariance()
+        info = checks._vanishing_representatives.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
 
     def test_scales_are_nonzero_and_of_every_kind(self):
         assert 0 not in checks.SCALES

@@ -170,6 +170,44 @@ def exp_by_numpy(d, t, terms=16):
     return p
 
 
+def matmul_8x8(a, b):
+    """The 8x8 float product exp_derivation_numeric used before it moved to
+    the 7x7 block: each entry its 8 products added left to right."""
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5 + r6 * c6 + r7 * c7
+              for c0, c1, c2, c3, c4, c5, c6, c7 in cols)
+        for r0, r1, r2, r3, r4, r5, r6, r7 in a
+    )
+
+
+def exp_on_8x8(d, t):
+    """exp(t d) by scaling and squaring on the whole 8x8 matrix, as
+    exp_derivation_numeric computed it before it moved to the 7x7 block."""
+    t = float(t)
+    a = [[float(x) * t for x in d.matrix.row(i)] for i in range(8)]
+    nrm = max(sum(abs(v) for v in row) for row in a)
+    squarings = 0
+    while nrm > 0.5:
+        nrm /= 2.0
+        squarings += 1
+    m = [[math.ldexp(v, -squarings) for v in row] for row in a]
+    eye = tuple(tuple(float(i == j) for j in range(8)) for i in range(8))
+    p = eye
+    for k in range(16, 0, -1):
+        p = tuple(tuple(e + v / k for e, v in zip(erow, row)) for erow, row in zip(eye, matmul_8x8(m, p)))
+    for _ in range(squarings):
+        p = matmul_8x8(p, p)
+    return p
+
+
+def assert_equals_the_8x8_oracle(d, t):
+    """Entry for entry ==, and the same shape and float type."""
+    a, oracle = exp_derivation_numeric(d, t), exp_on_8x8(d, t)
+    assert a == oracle, (t, d)
+    assert all(type(v) is float for row in a for v in row)
+
+
 def check_11_draws():
     """The 20 (derivation, time) pairs that check 11 draws, in order."""
     b = derivation_basis()
@@ -207,10 +245,38 @@ def sign_flipped(d, p, q):
     return Derivation.from_flat(flat)
 
 
+def leibniz_rows_by_scans():
+    """The 512 rows of leibniz_system as it built them before it read the
+    table backwards: two 8-step scans of MULT_TABLE per row."""
+    rows = []
+    for i in range(8):
+        for j in range(8):
+            kp, sp = MULT_TABLE[i][j]
+            for k in range(8):
+                row = [0] * 64
+                row[k * 8 + kp] += sp
+                for p in range(8):
+                    kk, ss = MULT_TABLE[p][j]
+                    if kk == k:
+                        row[p * 8 + i] -= ss
+                for q in range(8):
+                    kk, ss = MULT_TABLE[i][q]
+                    if kk == k:
+                        row[q * 8 + j] -= ss
+                rows.append(row)
+    return rows
+
+
 class TestLeibnizSystem:
     def test_shape(self):
         m = leibniz_system()
         assert (m.rows, m.cols) == (512, 64)
+
+    def test_equals_the_table_scans(self):
+        # entry for entry, and every entry an int
+        m = leibniz_system.__wrapped__()
+        assert m.row_lists() == leibniz_rows_by_scans()
+        assert all(type(v) is int for v in m.entries)
 
     def test_rank_and_nullity(self):
         m = leibniz_system()
@@ -750,17 +816,39 @@ class TestExpNumeric:
             assert gap < 1e-12, gap
 
     def test_matmul_is_the_left_to_right_fold(self):
-        # the unrolled product adds its 8 terms in the order a plain fold
+        # the unrolled 7x7 product adds its 7 terms in the order a plain fold
         # does, so its floats are bit-identical to it
         rng = random.Random(88)
 
         def draw():
-            return tuple(tuple(rng.uniform(-3, 3) for _ in range(8)) for _ in range(8))
+            return tuple(tuple(rng.uniform(-3, 3) for _ in range(7)) for _ in range(7))
 
         for _ in range(50):
             a, b = draw(), draw()
-            fold = tuple(tuple(reduce(add, map(mul, row, col)) for col in zip(*b)) for row in a)
+            fold = [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
             assert _matmul(a, b) == fold
+
+    def test_equals_the_8x8_oracle_on_check_11_draws(self):
+        for d, t in check_11_draws():
+            assert_equals_the_8x8_oracle(d, t)
+
+    @pytest.mark.parametrize("t", [-2.0, -0.7, 0.7, 2.0])
+    def test_equals_the_8x8_oracle_on_the_basis(self, t):
+        for d in derivation_basis().basis:
+            assert_equals_the_8x8_oracle(d, t)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.integers(-2, 2), min_size=14, max_size=14), st.floats(-2.0, 2.0))
+    def test_equals_the_8x8_oracle(self, coords, t):
+        assert_equals_the_8x8_oracle(derivation_basis().from_coordinates(coords), t)
+
+    @pytest.mark.parametrize("p,q", [(0, 3), (5, 0), (0, 0)], ids=["row_0", "column_0", "entry_00"])
+    def test_a_nonzero_row_or_column_0_is_refused(self, p, q):
+        # the 7x7 block would drop that entry, so it raises instead
+        flat = list(derivation_basis().basis[0].flat())
+        flat[8 * p + q] = 1
+        with pytest.raises(ValueError, match="row or column 0"):
+            exp_derivation_numeric(Derivation.from_flat(flat), 0.5)
 
     @pytest.mark.parametrize(
         "t",

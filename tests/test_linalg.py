@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2orbits import linalg
+from g2orbits import checks, linalg
 from g2orbits.cayley import Octonion, gamma_matrix
 from g2orbits.derivations import derivation_basis, fixed_subalgebra, leibniz_system, stabilizer_subalgebra
 from g2orbits.linalg import Matrix, _rref_rows, det, kernel_basis, rank, rref, solve
@@ -258,7 +258,7 @@ class TestRepeatedRows:
         assert [type(v) for v in red_big.entries] == [int, int, Fraction, int, int, Fraction] + [int] * 6
 
     def test_leibniz_kernel_clears_each_distinct_row_once(self, monkeypatch):
-        from g2orbits import linalg
+        from g2orbits import checks, linalg
         from g2orbits.derivations import leibniz_system
 
         system = leibniz_system()
@@ -444,6 +444,93 @@ class TestOneElimination:
             calls.clear()
             kernel_basis(a)
             assert len(calls) == 1
+
+
+def dense_rref_int(rows) -> tuple:
+    """_rref_int before it walked only the pivot row's nonzero columns: every
+    eliminated row is rescaled by the pivot, 1 included, and swept over all
+    its columns."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        hit = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                hit = i
+                break
+        if hit < 0:
+            continue
+        if hit != r:
+            rows[r], rows[hit] = rows[hit], rows[r]
+        prow = rows[r]
+        linalg._normalize_int_row(prow)
+        pv = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                row = rows[i]
+                for j in range(c):
+                    if row[j]:
+                        row[j] = row[j] * pv
+                for j in range(c, ncols):
+                    row[j] = row[j] * pv - prow[j] * f
+                linalg._normalize_int_row(row)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(pivots)
+
+
+@st.composite
+def int_rows_with_repeats(draw):
+    """At most 8 int rows of at most 8 entries in -4..4, with zero rows and
+    copies of rows up to a scalar inserted anywhere."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=8))
+    extras = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.sampled_from([0, 1, -1, 2, -3])),
+                           max_size=4))
+    for pos, src, c in extras:
+        if rows and len(rows) < 8:
+            rows.insert(pos % (len(rows) + 1), [c * x for x in rows[src % len(rows)]])
+    return rows
+
+
+def assert_same_elimination(rows):
+    """_rref_int and the dense oracle leave equal rows in place and return
+    equal pivots."""
+    sparse, dense = [list(r) for r in rows], [list(r) for r in rows]
+    assert linalg._rref_int(sparse) == dense_rref_int(dense)
+    assert sparse == dense
+
+
+class TestSparseElimination:
+    """_rref_int subtracts only at the pivot row's nonzero columns and skips
+    the rescaling by a pivot of 1; the dense sweep it replaced is the
+    oracle, row for row."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(int_rows_with_repeats())
+    def test_equals_the_dense_sweep(self, rows):
+        assert_same_elimination(rows)
+
+    def test_a_pivot_other_than_one(self):
+        # the first pivot row normalises to (2, 1, 0), so the rows below are
+        # rescaled by 2 before the sweep
+        rows = [[4, 2, 0], [3, 0, 1], [0, 0, 0], [-2, -1, 0], [1, 4, -4]]
+        work = [list(r) for r in rows]
+        linalg._normalize_int_row(work[0])
+        assert work[0] == [2, 1, 0]
+        assert_same_elimination(rows)
+
+    def test_package_systems(self):
+        systems = [leibniz_system()] + [cartan_adjoint(tau) for tau in checks._vanishing_representatives().values()]
+        for a in systems:
+            assert_same_elimination([list(linalg._cleared(row)[1]) for row in a.row_lists()])
 
 
 class TestSolve:
