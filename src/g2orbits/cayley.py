@@ -19,7 +19,8 @@ Elements of both models are ``linalg._IntCoords`` (int numerators over one
 denominator).  ``Octonion`` wraps kernels on int 8-tuples (``_product``,
 ``_dot`` and ``_signs`` for conj, gamma and gamma1) and reduces a product
 or sum by one gcd, a sign change by none (it cannot create a common
-factor).  Check 7 runs the linearised laws on the units through them.
+factor).  ``_product`` is the one doubling-product loop: the table, the
+automorphism test and checks 7 and 11 call it on tuples, with no Octonion.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index, mul
 
-from .linalg import Matrix, _IntCoords, rank
+from .linalg import Matrix, _cleared, _IntCoords, rank
 
 
 def _sub(x, y):
@@ -146,17 +147,11 @@ def gamma1_matrix() -> Matrix:
 
 
 def _build_table():
-    units = [Octonion.basis(i) for i in range(8)]
-    tbl = []
-    for x in units:
-        row = []
-        for y in units:
-            nz = [(k, v) for k, v in enumerate((x * y).num) if v]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
-                raise AssertionError("basis products must be signed basis elements")
-            row.append(nz[0])  # (k, sign): the product of units has den 1
-        tbl.append(tuple(row))
-    return tuple(tbl)
+    units = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    tbl = [[[(k, v) for k, v in enumerate(_product(x, y)) if v] for y in units] for x in units]
+    if any(len(nz) != 1 or abs(nz[0][1]) != 1 for row in tbl for nz in row):
+        raise AssertionError("basis products must be signed basis elements")
+    return tuple(tuple(nz[0] for nz in row) for row in tbl)  # (k, sign)
 
 
 #: MULT_TABLE[i][j] = (k, sign) with e_i * e_j = sign * e_k
@@ -164,16 +159,18 @@ MULT_TABLE = _build_table()
 
 
 def is_automorphism_matrix(m: Matrix) -> bool:
-    """Exact check that an 8x8 rational matrix is an algebra automorphism."""
+    """Exact check that an 8x8 rational matrix is an algebra automorphism:
+    with m = N/den, (m e_i)(m e_j) = sign m e_k reads N_i N_j = sign den N_k."""
     if (m.rows, m.cols) != (8, 8):
         return False
     if rank(m) != 8:
         return False
-    images = [Octonion(col) for col in zip(*m.row_lists())]  # m e_i, column i
+    den, num = _cleared(m.entries)
+    cols = [num[i::8] for i in range(8)]  # N e_i, column i
     for i in range(8):
         for j in range(8):
             k, sign = MULT_TABLE[i][j]
-            if images[i] * images[j] != images[k] * sign:
+            if _product(cols[i], cols[j]) != tuple([sign * den * v for v in cols[k]]):
                 return False
     return True
 

@@ -20,16 +20,7 @@ from functools import lru_cache
 from operator import add, attrgetter, mul
 
 from . import cayley
-from .cayley import (
-    MULT_TABLE,
-    Octonion,
-    from_complex_model,
-    gamma,
-    gamma1,
-    gamma1_matrix,
-    gamma_matrix,
-    to_complex_model,
-)
+from .cayley import Octonion, from_complex_model, gamma1_matrix, gamma_matrix, to_complex_model
 from .derivations import (
     derivation_basis,
     exp_derivation_numeric,
@@ -38,7 +29,7 @@ from .derivations import (
     stabilizer_subalgebra,
     subalgebra_structure,
 )
-from .linalg import Matrix, det, kernel_basis
+from .linalg import Matrix, det, rank
 from .orbits import classify, lattice_rows, scan
 from .roots import TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_system, vanishing_mask, weyl_reflect
 
@@ -63,16 +54,15 @@ def _vanishing_representatives() -> dict:
 
 
 def check_01_derivation_dimension() -> str:
-    """Nullity of the 512x64 Leibniz system is exactly 14, in under 5s;
-    its rank, 50, is read off the same elimination by rank-nullity."""
+    """Nullity of the 512x64 Leibniz system is exactly 14, in under 5s: its
+    rank, 50, from one elimination, and the nullity 64 - 50 by rank-nullity."""
     system = leibniz_system()
     t0 = time.perf_counter()
-    kern = kernel_basis(system)
+    r = rank(system)
     elapsed = time.perf_counter() - t0
-    assert len(kern) == 14, f"nullity {len(kern)} != 14"
-    r = system.cols - len(kern)
-    assert r == 50, f"rank {r} != 50"
-    assert elapsed < 5.0, f"kernel computation took {elapsed:.2f}s (budget 5s)"
+    nullity = system.cols - r
+    assert nullity == 14, f"nullity {nullity} != 14"
+    assert elapsed < 5.0, f"rank computation took {elapsed:.2f}s (budget 5s)"
     return "nullity 14, rank 50, kernel within the 5s budget"
 
 
@@ -207,17 +197,12 @@ def check_07_cayley_laws() -> str:
     for i, x in enumerate(e):
         for j, y in enumerate(e):
             assert signs(c, t[i][j]) == m(signs(c, y), signs(c, x)), f"anti-automorphism fails at {i, j}"
+            assert signs(g, t[i][j]) == m(signs(g, x), signs(g, y)), f"gamma not multiplicative on ({i},{j})"
+            assert signs(g1, t[i][j]) == m(signs(g1, x), signs(g1, y)), f"gamma1 not multiplicative on ({i},{j})"
         assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, f"involution fails at {i}"
     x, y = (2, -3, 5, -7, 11, -13, 17, -19), (23, 29, -31, 37, -41, 43, 47, -53)
     bilinear = tuple(sum(x[i] * y[j] * t[i][j][k] for i in range(8) for j in range(8)) for k in range(8))
     assert m(x, y) == bilinear, "the product is not the bilinear map of the unit products"
-    basis = [Octonion.basis(i) for i in range(8)]
-    for f in (gamma, gamma1):
-        for i in range(8):
-            for j in range(8):
-                assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
-                    f"{f.__name__} not multiplicative on ({i},{j})"
-                )
     return (
         "all octonions, linearised on the 8 units: alternative, composition, anti-automorphism; "
         "gamma, gamma1 automorphisms"
@@ -292,16 +277,9 @@ def check_11_numeric_bridge() -> str:
     """exp(tD) is numerically orthogonal and an algebra automorphism to
     1e-9 for 20 random derivations and times, in plain floats."""
     b = derivation_basis()
+    m = cayley._product
     rng = random.Random(1618)
     worst_orth = worst_auto = 0.0
-
-    def omul(u, v):
-        out = [0.0] * 8
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                k, s = MULT_TABLE[i][j]
-                out[k] += s * ui * vj
-        return out
 
     def apply(a, u):
         return [sum(map(mul, row, u)) for row in a]
@@ -319,7 +297,7 @@ def check_11_numeric_bridge() -> str:
         # each dot product is symmetric bit for bit, so the pairs i <= j suffice
         orth = max(abs(sum(map(mul, cols[i], cols[j])) - (i == j)) for i in range(8) for j in range(i, 8))
         x, y = unit(), unit()
-        auto = max(abs(p - q) for p, q in zip(apply(a, omul(x, y)), omul(apply(a, x), apply(a, y))))
+        auto = max(abs(p - q) for p, q in zip(apply(a, m(x, y)), m(apply(a, x), apply(a, y))))
         worst_orth = max(worst_orth, orth)
         worst_auto = max(worst_auto, auto)
         assert orth < 1e-9, f"orthogonality residual {orth:.2e}"

@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cayley import MULT_TABLE, Octonion
+from .cayley import MULT_TABLE
 from .derivations import derivation_basis
 from .errors import InternalInvariantError, SumNonzeroError
 from .linalg import MAX_EXPONENT, _exponent_out_of_bounds
@@ -71,8 +71,7 @@ def cmd_table(args) -> int:
     display = [
         [("" if s > 0 else "-") + basis_names[k] for k, s in row] for row in MULT_TABLE
     ]
-    units = [Octonion.basis(i) for i in range(8)]
-    products = [[[str(c) for c in (x * y).coords] for y in units] for x in units]
+    products = [[[str(s) if i == k else "0" for i in range(8)] for k, s in row] for row in MULT_TABLE]
     print(json.dumps({"basis": basis_names, "display": display, "products": products}, indent=2))
     return 0
 
@@ -185,12 +184,9 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SumNonzeroError as exc:
-        print(f"SUM_NONZERO: {exc}", file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
-        print(f"INTERNAL: {exc}", file=sys.stderr)
-        return 3
+    except (SumNonzeroError, InternalInvariantError) as exc:
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, SumNonzeroError) else 3
 
 
 def run() -> None:

@@ -306,7 +306,7 @@ def stabilizer_subalgebra(x: Octonion, b: G2AlgebraBasis):
     infinitesimal stabilizer of a point on the 6-sphere of imaginary
     units.
     """
-    return _kernel_of_images([d.apply(x).coords for d in b.basis])
+    return _kernel_of_images([d.matrix.apply(x.num) for d in b.basis])  # x.den times each d(x): the same kernel
 
 
 def subalgebra_structure(rows, b: G2AlgebraBasis) -> SubalgebraSummary:

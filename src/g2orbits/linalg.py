@@ -378,7 +378,7 @@ def rref(m: Matrix) -> tuple:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _rref_rows(m.row_lists())
+    _, pivots = _rref_rows([m.row(i) for i in range(m.rows)])
     return len(pivots)
 
 

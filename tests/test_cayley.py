@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from g2orbits import cayley
 from g2orbits.cayley import (
     MULT_TABLE,
     ComplexModelElement,
@@ -22,7 +25,8 @@ from g2orbits.cayley import (
     norm,
     to_complex_model,
 )
-from g2orbits.linalg import Matrix
+from g2orbits.linalg import Matrix, rank
+from test_acceptance import _CERTIFICATE
 
 E = [Octonion.basis(i) for i in range(8)]
 
@@ -208,6 +212,125 @@ class TestGammaMaps:
               for j in range(8)] for i in range(8)]
         )
         assert not is_automorphism_matrix(bad)
+
+
+def table_by_octonions():
+    """MULT_TABLE as _build_table formed it before it ran _product on unit
+    tuples: 64 products of basis Octonions."""
+    units = [Octonion.basis(i) for i in range(8)]
+    tbl = []
+    for x in units:
+        row = []
+        for y in units:
+            nz = [(k, v) for k, v in enumerate((x * y).num) if v]
+            if len(nz) != 1 or abs(nz[0][1]) != 1:
+                raise AssertionError("basis products must be signed basis elements")
+            row.append(nz[0])  # (k, sign): the product of units has den 1
+        tbl.append(tuple(row))
+    return tuple(tbl)
+
+
+def is_automorphism_by_octonions(m: Matrix) -> bool:
+    """is_automorphism_matrix before it cleared m once: the images m e_i as
+    Octonions, one reduced product per pair."""
+    if (m.rows, m.cols) != (8, 8):
+        return False
+    if rank(m) != 8:
+        return False
+    images = [Octonion(col) for col in zip(*m.row_lists())]  # m e_i, column i
+    for i in range(8):
+        for j in range(8):
+            k, sign = MULT_TABLE[i][j]
+            if images[i] * images[j] != images[k] * sign:
+                return False
+    return True
+
+
+def rotation(planes, c=F(3, 5), s=F(4, 5)) -> Matrix:
+    """The rotation e_i -> c e_i + s e_j, e_j -> -s e_i + c e_j in each plane
+    (i, j), the identity elsewhere."""
+    rows = [[F(int(i == j)) for j in range(8)] for i in range(8)]
+    for i, j in planes:
+        rows[i][i] = rows[j][j] = c
+        rows[j][i], rows[i][j] = s, -s
+    return Matrix.from_rows(rows)
+
+
+def certificate() -> Matrix:
+    """The signed permutation g with g gamma = gamma1 g of the acceptance suite."""
+    entries = [0] * 64
+    for j, (i, sign) in _CERTIFICATE.items():
+        entries[8 * i + j] = sign
+    return Matrix(8, 8, entries)
+
+
+#: name -> (matrix, is it an automorphism)
+AUTOMORPHISM_CASES = {
+    "identity": (Matrix.identity(8), True),
+    "gamma": (gamma_matrix(), True),
+    "gamma1": (gamma1_matrix(), True),
+    "certificate": (certificate(), True),
+    "pythagorean": (rotation([(1, 2), (5, 6)]), True),  # e1 -> (3 e1 + 4 e2)/5
+    "one_plane": (rotation([(1, 2)]), False),  # orthogonal, not an automorphism
+    "twice_identity": (Matrix.identity(8) * F(2), False),
+    "singular": (Matrix(8, 8, [int(i == j < 7) for i in range(8) for j in range(8)]), False),
+    "zero": (Matrix(8, 8, [0] * 64), False),
+    "7x7": (Matrix.identity(7), False),
+}
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+rational_8x8 = st.lists(small_fractions, min_size=64, max_size=64).map(lambda v: Matrix(8, 8, v))
+#: words in the automorphisms above, each possibly with one entry moved
+automorphism_words = st.tuples(
+    st.lists(st.sampled_from([m for m, auto in AUTOMORPHISM_CASES.values() if auto]), min_size=1, max_size=4),
+    st.integers(0, 63),
+    st.sampled_from([0, 0, 1, F(-1, 7)]),
+).map(lambda w: Matrix(8, 8, [v + w[2] * (n == w[1]) for n, v in enumerate(reduce(mul, w[0]).entries)]))
+
+
+class TestOneProductKernel:
+    """The table and the automorphism test on _product equal the Octonion
+    forms they replaced."""
+
+    def test_table_equals_the_octonion_oracle(self):
+        assert MULT_TABLE == cayley._build_table() == table_by_octonions()
+
+    def test_build_table_makes_no_octonion_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("built the table from Octonions")
+
+        monkeypatch.setattr(Octonion, "__mul__", refuse)
+        assert cayley._build_table() == MULT_TABLE
+
+    @pytest.mark.parametrize("name", list(AUTOMORPHISM_CASES))
+    def test_named_matrices_equal_the_octonion_oracle(self, name):
+        m, expected = AUTOMORPHISM_CASES[name]
+        assert is_automorphism_matrix(m) == is_automorphism_by_octonions(m) == expected
+
+    @oracle_settings
+    @given(rational_8x8)
+    def test_rational_matrices_equal_the_octonion_oracle(self, m):
+        assert is_automorphism_matrix(m) == is_automorphism_by_octonions(m)
+
+    @oracle_settings
+    @given(automorphism_words)
+    def test_automorphism_words_equal_the_octonion_oracle(self, m):
+        assert is_automorphism_matrix(m) == is_automorphism_by_octonions(m)
+
+    def test_a_float_matrix_raises(self):
+        m = Matrix(8, 8, [float(v) for v in Matrix.identity(8).entries])
+        for test in (is_automorphism_matrix, is_automorphism_by_octonions):
+            with pytest.raises(TypeError):
+                test(m)
+
+    def test_makes_no_octonion_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("tested an automorphism on Octonions")
+
+        monkeypatch.setattr(Octonion, "__mul__", refuse)
+        assert [is_automorphism_matrix(m) for m, _ in AUTOMORPHISM_CASES.values()] == [
+            auto for _, auto in AUTOMORPHISM_CASES.values()
+        ]
 
 
 class TestComplexModel:

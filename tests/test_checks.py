@@ -5,6 +5,7 @@ the forms they replaced, and that check 9 needs no 8x8 bracket."""
 import ast
 import inspect
 import math
+import operator
 import os
 import random
 import subprocess
@@ -14,6 +15,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2orbits import cayley, checks, derivations, linalg, orbits
 from g2orbits.cayley import MULT_TABLE, Octonion, _product, gamma, gamma1, inner
@@ -22,6 +25,7 @@ from g2orbits.derivations import (
     SubalgebraSummary,
     adjoint_matrix,
     derivation_basis,
+    exp_derivation_numeric,
 )
 from g2orbits.linalg import Matrix
 from g2orbits.orbits import OrbitType, classify
@@ -100,8 +104,8 @@ class TestCheck01:
         assert checks.check_01_derivation_dimension() == detail
 
     def test_one_elimination_of_the_leibniz_system(self, monkeypatch):
-        # the rank is read off the kernel's elimination; rank(leibniz_system())
-        # == 50, the form it replaced, stays as an oracle in test_derivations
+        # the nullity is 64 minus the rank of one elimination; the kernel it
+        # once counted stays as an oracle in test_derivations
         sizes = []
         rref_rows = linalg._rref_rows
 
@@ -112,6 +116,16 @@ class TestCheck01:
         monkeypatch.setattr(linalg, "_rref_rows", counted)
         checks.check_01_derivation_dimension()
         assert sizes.count(512) == 1
+
+    def test_makes_no_kernel_basis_call(self, monkeypatch):
+        # a dimension is a rank: no kernel vector is built only to be counted
+        def refuse(m):
+            raise AssertionError("check 1 built a kernel basis")
+
+        monkeypatch.setattr(linalg, "kernel_basis", refuse)
+        monkeypatch.setattr(derivations, "kernel_basis", refuse)
+        assert not hasattr(checks, "kernel_basis")
+        assert checks.check_01_derivation_dimension() == "nullity 14, rank 50, kernel within the 5s budget"
 
     def test_one_leibniz_build_per_process(self):
         # check 1 is the one caller of the cached system
@@ -164,6 +178,19 @@ class TestCheck04:
 SAMPLED_DETAIL = "500 random octonions: alternative, composition, anti-automorphism; gamma, gamma1 automorphisms"
 
 
+def involutions_multiplicative_on_octonions() -> str:
+    """Check 7's gamma and gamma1 half before it ran on their sign tuples:
+    f(e_i e_j) = f(e_i) f(e_j) on the 64 pairs of basis Octonions."""
+    basis = [Octonion.basis(i) for i in range(8)]
+    for f in (gamma, gamma1):
+        for i in range(8):
+            for j in range(8):
+                assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
+                    f"{f.__name__} not multiplicative on ({i},{j})"
+                )
+    return "gamma, gamma1 automorphisms"
+
+
 def cayley_laws_on_octonions() -> str:
     """Check 7 before it ran on integer numerators: the laws on 500 random
     reduced Octonions, a gcd and a new object per product."""
@@ -177,13 +204,7 @@ def cayley_laws_on_octonions() -> str:
         assert inner(xy, xy) == inner(x, x) * inner(y, y), "composition fails"
         assert xy.conj() == y.conj() * x.conj(), "anti-automorphism fails"
         assert gamma(gamma(x)) == x and gamma1(gamma1(x)) == x, "involution fails"
-    basis = [Octonion.basis(i) for i in range(8)]
-    for f in (gamma, gamma1):
-        for i in range(8):
-            for j in range(8):
-                assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
-                    f"{f.__name__} not multiplicative on ({i},{j})"
-                )
+    involutions_multiplicative_on_octonions()
     return SAMPLED_DETAIL
 
 
@@ -204,13 +225,7 @@ def cayley_laws_on_numerators() -> str:
         assert dot(xy, xy) == dot(x, x) * dot(y, y), "composition fails"
         assert signs(c, xy) == product(signs(c, y), signs(c, x)), "anti-automorphism fails"
         assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, "involution fails"
-    basis = [Octonion.basis(i) for i in range(8)]
-    for f in (gamma, gamma1):
-        for i in range(8):
-            for j in range(8):
-                assert f(basis[i] * basis[j]) == f(basis[i]) * f(basis[j]), (
-                    f"{f.__name__} not multiplicative on ({i},{j})"
-                )
+    involutions_multiplicative_on_octonions()
     return SAMPLED_DETAIL
 
 
@@ -265,6 +280,10 @@ def product_with_a_quadratic_term(x, y):
 #: conjugation's signs with the e7 coordinate left un-negated
 CONJ_SIGNS_LEAVING_E7 = (1, -1, -1, -1, -1, -1, -1, 1)
 
+#: an involution's signs that do not respect the product: e1 e4 = e5 but
+#: only e5 changes sign
+SIGNS_NOT_MULTIPLICATIVE = (1, 1, 1, 1, 1, -1, -1, -1)
+
 ALL_FORMS = [cayley_laws_on_octonions, cayley_laws_on_numerators, checks.check_07_cayley_laws]
 FORM_IDS = ["oracle", "numerators", "check"]
 
@@ -315,16 +334,29 @@ class TestCheck07:
             alternativity_by_pairs()
         assert str(failure.value) == first_line(oracle_failure.value) == "left alternativity fails at (1, 1, 2)"
 
+    def test_involutions_agree_with_the_octonion_oracle(self):
+        assert checks.check_07_cayley_laws() == self.DETAIL
+        assert involutions_multiplicative_on_octonions() == "gamma, gamma1 automorphisms"
+
+    @pytest.mark.parametrize("attr,name", [("_GAMMA_SIGNS", "gamma"), ("_GAMMA1_SIGNS", "gamma1")])
+    def test_signs_that_are_not_multiplicative_fail(self, monkeypatch, attr, name):
+        monkeypatch.setattr(cayley, attr, SIGNS_NOT_MULTIPLICATIVE)
+        with pytest.raises(AssertionError, match=f"{name} not multiplicative") as failure:
+            checks.check_07_cayley_laws()
+        with pytest.raises(AssertionError) as oracle_failure:
+            involutions_multiplicative_on_octonions()
+        assert str(failure.value) == first_line(oracle_failure.value) == f"{name} not multiplicative on (1,4)"
+
     def test_product_calls(self, monkeypatch):
-        # 64 unit products, 1,024 for the associator table, 64
-        # anti-automorphism cases, 1 dense pair and 256 inside the gamma and
-        # gamma1 Octonion products: 1,409 (2,689 with four products per law
-        # and case)
+        # 64 unit products, 1,024 for the associator table, 64 cases each of
+        # the anti-automorphism, gamma and gamma1, and 1 dense pair: 1,281
+        # (1,409 with 256 inside gamma and gamma1 Octonion products, 2,689
+        # with four products per law and case)
         calls = []
         product = cayley._product
         monkeypatch.setattr(cayley, "_product", lambda x, y: calls.append(1) or product(x, y))
         checks.check_07_cayley_laws()
-        assert len(calls) <= 1409
+        assert len(calls) <= 1281
 
     def test_a_term_that_is_not_bilinear_fails_the_dense_pair(self, monkeypatch):
         monkeypatch.setattr(cayley, "_product", product_with_a_quadratic_term)
@@ -346,18 +378,30 @@ class TestCheck07:
             checks.check_07_cayley_laws()
 
     def test_a_check_run_makes_few_octonion_products(self):
-        # check 7's laws build no Octonion; its 64-pair gamma and gamma1
-        # half and the other checks make the rest
-        code = (
-            "from g2orbits import checks\n"
-            "from g2orbits.cayley import Octonion\n"
-            "calls = []\n"
-            "mul = Octonion.__mul__\n"
-            "Octonion.__mul__ = lambda x, y: calls.append(1) or mul(x, y)\n"
-            "checks.run_all(out=lambda line: None)\n"
-            "print(len(calls))"
-        )
-        assert int(last_line_of(code)) <= 600
+        # the table, the automorphism test and checks 7 and 11 run on
+        # _product; check 8's 64 doubling-model pairs are a check run's only
+        # Octonion products
+        code = "from g2orbits import checks\nchecks.run_all(out=lambda line: None)"
+        assert int(last_line_of(OCTONION_PRODUCTS.format(code=code))) <= 64
+
+    @pytest.mark.parametrize("argv", [["table"], ["classify", "--tau=1,0,-1", "--json"]], ids=["table", "classify"])
+    def test_a_cold_cli_call_makes_no_octonion_product(self, argv):
+        code = f"from g2orbits import cli\ncli.main({argv!r})"
+        assert last_line_of(OCTONION_PRODUCTS.format(code=code)) == "0"
+
+
+#: run code in a fresh interpreter and print how many Octonion.__mul__ calls
+#: it made, import-time ones included
+OCTONION_PRODUCTS = """\
+import sys
+calls = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "__mul__" and type(frame.f_locals.get("self")).__name__ == "Octonion":
+        calls.append(1)
+sys.setprofile(count)
+{code}
+sys.setprofile(None)
+print(len(calls))"""
 
 
 def test_only_check_11_draws_from_random():
@@ -488,6 +532,81 @@ def test_check_11_detail_is_pinned():
     # the residuals of exp(tD) in plain floats, summed in a fixed order
     detail = "20 samples: orthogonality <= 9.5e-15, automorphism <= 4.3e-15"
     assert checks.check_11_numeric_bridge() == detail
+
+
+def omul(u, v):
+    """Check 11's float product before it ran on cayley._product: a walk of
+    MULT_TABLE adding s * u_i * v_j into coordinate k for e_i e_j = s e_k."""
+    out = [0.0] * 8
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            k, s = MULT_TABLE[i][j]
+            out[k] += s * ui * vj
+    return out
+
+
+def apply_rows(a, u):
+    return [sum(map(operator.mul, row, u)) for row in a]
+
+
+def bridge_draws():
+    """Check 11's 20 draws, as it makes them: (exp(tD) as rows, x, y)."""
+    b = derivation_basis()
+    rng = random.Random(1618)
+
+    def unit():
+        u = [rng.uniform(-1, 1) for _ in range(8)]
+        n = math.sqrt(sum(v * v for v in u))
+        return [v / n for v in u]
+
+    draws = []
+    for _ in range(20):
+        d = b.from_coordinates([rng.randint(-2, 2) for _ in range(b.dim)])
+        a = exp_derivation_numeric(d, rng.uniform(-2.0, 2.0))
+        draws.append((a, unit(), unit()))
+    return draws
+
+
+def automorphism_residual(product, a, x, y) -> float:
+    lhs = apply_rows(a, product(x, y))
+    return max(abs(p - q) for p, q in zip(lhs, product(apply_rows(a, x), apply_rows(a, y))))
+
+
+finite_floats = st.lists(st.floats(-1e150, 1e150), min_size=8, max_size=8)
+
+
+class TestCheck11:
+    """Both fold each coordinate over i = 0..7 in the same order; (s u) v is
+    s (u v) and a + (-b) is a - b exactly for s = +-1, so the products differ
+    at most in the sign of an exact zero, which == does not see."""
+
+    def test_multiplies_the_pairs_of_its_draws(self, monkeypatch):
+        seen = []
+        product = cayley._product
+        monkeypatch.setattr(cayley, "_product", lambda x, y: seen.append((x, y)) or product(x, y))
+        checks.check_11_numeric_bridge()
+        assert seen == [p for a, x, y in bridge_draws() for p in ((x, y), (apply_rows(a, x), apply_rows(a, y)))]
+
+    def test_product_equals_omul_on_its_draws(self):
+        for a, x, y in bridge_draws():
+            for u, v in ((x, y), (apply_rows(a, x), apply_rows(a, y))):
+                assert list(cayley._product(u, v)) == omul(u, v)
+            assert automorphism_residual(cayley._product, a, x, y) == automorphism_residual(omul, a, x, y)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(finite_floats, finite_floats)
+    def test_product_equals_omul_on_floats(self, u, v):
+        assert list(cayley._product(u, v)) == omul(u, v)
+
+    def test_a_broken_product_fails(self, monkeypatch):
+        monkeypatch.setattr(cayley, "_product", product_with_a_flipped_term)
+        with pytest.raises(AssertionError, match="automorphism residual"):
+            checks.check_11_numeric_bridge()
+
+    def test_no_check_walks_the_table(self):
+        # the unit products are _product's, and check 7 reads them off it
+        names = {n.id for n in ast.walk(ast.parse(inspect.getsource(checks))) if isinstance(n, ast.Name)}
+        assert "MULT_TABLE" not in names
 
 
 def patched_basis(monkeypatch, structure=None, gram=None):

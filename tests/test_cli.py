@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from g2orbits import cli, orbits
+from g2orbits.cayley import Octonion
 from g2orbits.cli import main
+from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.orbits import Census
 from test_checks import last_line_of
 
@@ -83,6 +85,7 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, "classify", "--tau", "1,1,1")
         assert code == 2
         assert "SUM_NONZERO" in err
+
 
     def test_project_flag(self, capsys):
         # (2,1,0) minus its mean 1 is (1,0,-1)
@@ -160,6 +163,26 @@ class TestClassifyCommand:
             d = json.loads(out)
             assert d["tau"][0] == first
             assert d["orbit_type"] == orbit_type
+
+
+class TestErrorPrefixes:
+    """stderr is the exception's code, a colon and its message."""
+
+    def test_sum_nonzero(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--tau", "1,1,1")
+        assert (code, out) == (2, "")
+        assert err == "SUM_NONZERO: components sum to 3; pass --project to remove the mean\n"
+        assert err.partition(": ")[0] == SumNonzeroError.code
+
+    def test_internal(self, capsys, monkeypatch):
+        def broken(tau, convention):
+            raise InternalInvariantError("stabilizer dimension 3 outside {2, 4, 14}")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        code, out, err = run_cli(capsys, "classify", "--tau", "1,0,-1")
+        assert (code, out) == (3, "")
+        assert err == "INTERNAL: stabilizer dimension 3 outside {2, 4, 14}\n"
+        assert err.partition(": ")[0] == InternalInvariantError.code
 
 
 class TestScanCommand:
@@ -255,6 +278,14 @@ class TestTableCommand:
         prod = d["products"][4][4]
         assert prod == ["-1", "0", "0", "0", "0", "0", "0", "0"]
         assert all(Fraction(s) is not None for row in d["products"] for p in row for s in p)
+
+    def test_products_equal_the_octonion_oracle(self, capsys):
+        # the rendering before it read MULT_TABLE: the Fraction coordinates
+        # of 64 products of basis Octonions
+        units = [Octonion.basis(i) for i in range(8)]
+        oracle = [[[str(c) for c in (x * y).coords] for y in units] for x in units]
+        code, out, err = run_cli(capsys, "table")
+        assert json.loads(out)["products"] == oracle
 
 
 class TestDerivationsCommand:

@@ -222,6 +222,26 @@ def check_11_draws():
     return draws
 
 
+def stabilizer_by_coordinates(x, b):
+    """stabilizer_subalgebra before it took the images on x's int numerators:
+    an Octonion per basis derivation, read back as Fractions."""
+    return derivations._kernel_of_images([d.apply(x).coords for d in b.basis])
+
+
+def assert_stabilizer_equals_the_oracle(x):
+    """The same rows, entry for entry and of the same types."""
+    b = derivation_basis()
+    rows, oracle = stabilizer_subalgebra(x, b), stabilizer_by_coordinates(x, b)
+    assert rows == oracle
+    assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in oracle]
+
+
+#: rationals with nine-digit numerators and denominators, and many zeros
+sparse_rationals = st.one_of(
+    st.just(0), st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+)
+
+
 def one_tau_per_vanishing_set():
     """One lattice point for each of the 8 vanishing sets."""
     by_set = {}
@@ -666,6 +686,21 @@ class TestFixedSubalgebras:
         assert (s.dim, s.derived_dim, s.center_dim) == (8, 8, 0)
         for v in sub:
             assert b.from_coordinates(v).apply(Octonion.basis(1)).is_zero()
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_stabilizer_of_a_unit_equals_the_coordinate_oracle(self, i):
+        assert_stabilizer_equals_the_oracle(Octonion.basis(i))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(sparse_rationals, min_size=8, max_size=8))
+    def test_stabilizer_equals_the_coordinate_oracle(self, xs):
+        assert_stabilizer_equals_the_oracle(Octonion(xs))
+
+    def test_stabilizer_makes_no_octonion(self, monkeypatch):
+        # the images are taken on the numerators: no Octonion per derivation
+        x = Octonion([F(1, 2), 0, F(-3, 7), 0, 0, 5, 0, 0])
+        monkeypatch.setattr(Octonion, "__init__", None)
+        assert len(stabilizer_subalgebra(x, derivation_basis())) == 8
 
 
 class TestSubalgebraStructure:

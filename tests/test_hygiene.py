@@ -150,22 +150,35 @@ def test_only_derivations_reads_pivots(path):
 KERNEL_BUILDERS = {"kernel_basis", "_kernel_of_images"}
 
 
+def _kernel_builder(node):
+    """The name of the kernel builder node calls, by bare name or as an
+    attribute, or None."""
+    if not isinstance(node, ast.Call):
+        return None
+    name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+    return name if name in KERNEL_BUILDERS else None
+
+
 def _counted_kernels(source: str):
     """(line, name) of every len(kernel_basis(...)) or
-    len(_kernel_of_images(...)), by bare name or as an attribute."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "len"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Call)
-        ):
-            func = node.args[0].func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in KERNEL_BUILDERS:
-                found.append((node.lineno, name))
+    len(_kernel_of_images(...)), by bare name or as an attribute, and of
+    every such kernel bound to a name whose only uses are len(name)."""
+    tree = ast.parse(source)
+    lens = [
+        node.args[0] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len" and len(node.args) == 1
+    ]
+    found = [(arg.lineno, _kernel_builder(arg)) for arg in lens if _kernel_builder(arg)]
+    counted = {id(arg) for arg in lens}
+    loads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.setdefault(node.id, []).append(node)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            uses = loads.get(node.targets[0].id)
+            if _kernel_builder(node.value) and uses and all(id(use) in counted for use in uses):
+                found.append((node.lineno, _kernel_builder(node.value)))
     return sorted(found)
 
 
@@ -177,7 +190,25 @@ def test_detector_sees_a_counted_kernel():
         "c = len(_kernel_of_images(images))\n"
         "z = len(linalg.kernel_basis(a))\n"
     )
-    assert _counted_kernels(src) == [(3, "kernel_basis"), (4, "_kernel_of_images"), (5, "kernel_basis")]
+    assert _counted_kernels(src) == [
+        (1, "kernel_basis"), (3, "kernel_basis"), (4, "_kernel_of_images"), (5, "kernel_basis")
+    ]
+
+
+def test_detector_sees_a_kernel_bound_only_to_be_counted():
+    # check 1's old form counts its kernel three times and reads no vector
+    # of it; a kernel that is also indexed, or never used, is not counted
+    src = (
+        "def check():\n"
+        "    kern = kernel_basis(system)\n"
+        "    assert len(kern) == 14, f'nullity {len(kern)} != 14'\n"
+        "    return system.cols - len(kern)\n"
+        "basis = linalg.kernel_basis(m)\n"
+        "n = len(basis)\n"
+        "v = basis[0]\n"
+        "rows = _kernel_of_images(images)\n"
+    )
+    assert _counted_kernels(src) == [(2, "kernel_basis")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
