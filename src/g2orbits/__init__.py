@@ -38,7 +38,7 @@ from .errors import (
     NotInSpanError,
     SumNonzeroError,
 )
-from .linalg import Matrix, det, kernel_basis, rank, rref, solve
+from .linalg import Matrix, kernel_basis, rank
 from .orbits import (
     CONVENTION_DEFAULT,
     Census,
@@ -86,7 +86,6 @@ __all__ = [
     "centralizer",
     "classify",
     "derivation_basis",
-    "det",
     "exp_derivation_numeric",
     "fixed_subalgebra",
     "from_complex_model",
@@ -100,9 +99,7 @@ __all__ = [
     "norm",
     "rank",
     "root_system",
-    "rref",
     "scan",
-    "solve",
     "stabilizer_subalgebra",
     "subalgebra_structure",
     "to_complex_model",

@@ -31,11 +31,6 @@ from operator import index, mul
 from .linalg import Matrix, _cleared, _IntCoords, rank
 
 
-def _sub(x, y):
-    """Componentwise difference of two int tuples (complex pairs)."""
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def _product(x, y):
     """(ac - conj(d) b) + (b conj(c) + d a) e4 on int 8-tuples x = (a, b), y = (c, d)."""
     x0, x1, x2, x3, x4, x5, x6, x7 = x
@@ -202,9 +197,8 @@ class ComplexModelElement(_IntCoords):
         x, y = self.num, other.num
         a, m = x[:2], (x[2:4], x[4:6], x[6:])
         b, n = y[:2], (y[2:4], y[4:6], y[6:])
-        scalar = _cmul(a, b)
-        for mi, ni in zip(m, n):
-            scalar = _sub(scalar, _cmul(mi, _cconj(ni)))
+        terms = [_cmul(mi, _cconj(ni)) for mi, ni in zip(m, n)]
+        scalar = tuple(ab - sum(rest) for ab, *rest in zip(_cmul(a, b), *terms))
         bbar = _cconj(b)
         vec = ()
         for mi, ni, ci in zip(m, n, _cross(m, n)):
@@ -216,10 +210,8 @@ def _cross(m, n):
     # Orientation calibrated against the doubling product (it is the
     # negative of the right-handed convention); with it, e2 * e4 = e6
     # comes out right in the vector part.
-    return (
-        _sub(_cmul(m[2], n[1]), _cmul(m[1], n[2])),
-        _sub(_cmul(m[0], n[2]), _cmul(m[2], n[0])),
-        _sub(_cmul(m[1], n[0]), _cmul(m[0], n[1])),
+    return tuple(
+        tuple(p - q for p, q in zip(_cmul(m[j], n[k]), _cmul(m[k], n[j]))) for j, k in ((2, 1), (0, 2), (1, 0))
     )
 
 

@@ -21,15 +21,9 @@ from operator import add, attrgetter, mul
 
 from . import cayley
 from .cayley import Octonion, from_complex_model, gamma1_matrix, gamma_matrix, to_complex_model
-from .derivations import (
-    derivation_basis,
-    exp_derivation_numeric,
-    fixed_subalgebra,
-    leibniz_system,
-    stabilizer_subalgebra,
-    subalgebra_structure,
-)
-from .linalg import Matrix, det, rank
+from .derivations import (derivation_basis, exp_derivation_numeric, fixed_subalgebra, leibniz_system,
+                          stabilizer_subalgebra, subalgebra_structure)
+from .linalg import Matrix, rank
 from .orbits import classify, lattice_rows, scan
 from .roots import TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_system, vanishing_mask, weyl_reflect
 
@@ -175,15 +169,18 @@ def check_06b_su3_stabilizer_shadow() -> str:
 
 def check_07_cayley_laws() -> str:
     """Alternativity, composition and the conjugation anti-automorphism for
-    all octonions, by their full linearisations on the units e0..e7, with one
-    dense pair tying _product to its 64 unit products (notes/decisions.md);
+    all octonions, by their full linearisations on the table of the 64 unit
+    products, with one dense pair tying _product to it (notes/decisions.md);
     gamma/gamma1 are involutions and automorphisms on all 64 basis pairs."""
-    m, dot, signs, sub = cayley._product, cayley._dot, cayley._signs, cayley._sub
+    m, dot, signs = cayley._product, cayley._dot, cayley._signs
     c, g, g1 = cayley._CONJ_SIGNS, cayley._GAMMA_SIGNS, cayley._GAMMA1_SIGNS
     e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
     t = [[m(x, y) for y in e] for x in e]
-    # the associators A[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k)
-    a = [[[sub(m(t[i][j], z), m(x, t[j][k])) for k, z in enumerate(e)] for j in range(8)] for i, x in enumerate(e)]
+    u = [[[(k, s) for k, s in enumerate(p) if s] for p in row] for row in t]  # e_i e_j = s e_k as [(k, s)]
+    assert all(len(p) == 1 for row in u for p in row), "a unit product is not a multiple of one unit"
+    # A[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k) = s t[p][k] - r t[i][q] for e_i e_j = s e_p, e_j e_k = r e_q
+    a = [[[tuple(s * v - r * w for v, w in zip(t[p][k], t[i][q])) for k, [(q, r)] in enumerate(u[j])]
+          for j, [(p, s)] in enumerate(u[i])] for i in range(8)]
     pairs = [(i, j) for i in range(8) for j in range(i, 8)]
     for i, j in pairs:  # x, z = e_i, e_j: each linearised law is symmetric in x and z
         for k in range(8):  # y = e_k: A(x, z, y) = -A(z, x, y) and A(y, x, z) = -A(y, z, x)
@@ -194,11 +191,11 @@ def check_07_cayley_laws() -> str:
     for i, j, k, l in [p + q for p in pairs for q in pairs]:
         lhs = dot(t[i][k], t[j][l]) + dot(t[i][l], t[j][k])
         assert lhs == 2 * gram[i][j] * gram[k][l], f"composition fails at {i, j, k, l}"
-    for i, x in enumerate(e):
-        for j, y in enumerate(e):
-            assert signs(c, t[i][j]) == m(signs(c, y), signs(c, x)), f"anti-automorphism fails at {i, j}"
-            assert signs(g, t[i][j]) == m(signs(g, x), signs(g, y)), f"gamma not multiplicative on ({i},{j})"
-            assert signs(g1, t[i][j]) == m(signs(g1, x), signs(g1, y)), f"gamma1 not multiplicative on ({i},{j})"
+    for i, x in enumerate(e):  # a sign map f on e_i e_j and on f(e_i) f(e_j) = f_i f_j e_i e_j
+        for j, xy in enumerate(t[i]):
+            assert signs(c, xy) == tuple(c[i] * c[j] * v for v in t[j][i]), f"anti-automorphism fails at {i, j}"
+            assert signs(g, xy) == tuple(g[i] * g[j] * v for v in xy), f"gamma not multiplicative on ({i},{j})"
+            assert signs(g1, xy) == tuple(g1[i] * g1[j] * v for v in xy), f"gamma1 not multiplicative on ({i},{j})"
         assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, f"involution fails at {i}"
     x, y = (2, -3, 5, -7, 11, -13, 17, -19), (23, 29, -31, 37, -41, 43, 47, -53)
     bilinear = tuple(sum(x[i] * y[j] * t[i][j][k] for i in range(8) for j in range(8)) for k in range(8))
@@ -245,10 +242,11 @@ def check_09_lie_algebra_integrity() -> str:
                 assert not any(acc), f"Jacobi fails at ({i},{j},{k})"
     gram = b.killing_gram()
     assert gram == gram.transpose(), "Killing Gram matrix not symmetric"
-    neg = -gram
-    for k in range(1, n + 1):
-        minor = Matrix(k, k, [neg.entry(i, j) for i in range(k) for j in range(k)])
-        assert det(minor) > 0, f"leading minor {k} of -B not positive"
+    a, prev = [[-v for v in gram.row(i)] for i in range(n)], 1  # Bareiss, no row swaps: the pivots are the minors
+    for k, top in enumerate(a):
+        assert top[k] > 0, f"leading minor {k + 1} of -B not positive"
+        a[k + 1 :] = [[(v * top[k] - row[k] * w) // prev for v, w in zip(row, top)] for row in a[k + 1 :]]
+        prev = top[k]
     for k in range(n):
         t = Matrix.from_rows(c[k]) * gram
         assert (t + t.transpose()).is_zero(), f"Killing form not ad-invariant under D_{k}"

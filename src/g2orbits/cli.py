@@ -16,7 +16,6 @@ when its stdout is closed early, as by `g2orbits scan ... | head`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -67,6 +66,8 @@ def _parse_tau(text: str, project: bool) -> CartanElement:
 
 
 def cmd_table(args) -> int:
+    import json
+
     basis_names = [f"e{i}" for i in range(8)]
     display = [
         [("" if s > 0 else "-") + basis_names[k] for k, s in row] for row in MULT_TABLE
@@ -77,6 +78,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_derivations(args) -> int:
+    import json
+
     b = derivation_basis()
     matrices = [[[str(v) for v in d.matrix.row(i)] for i in range(8)] for d in b.basis]
     constants = []
@@ -91,6 +94,8 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    import json
+
     roots = root_system()
     payload = [
         {
@@ -108,6 +113,8 @@ def cmd_classify(args) -> int:
     tau = _parse_tau(args.tau, args.project)
     report = classify(tau, convention=args.convention)
     if args.json:
+        import json
+
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
         d = report.to_json_dict()

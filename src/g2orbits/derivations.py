@@ -54,9 +54,6 @@ class Derivation:
     def flat(self):
         return self.matrix.entries
 
-    def apply(self, x: Octonion) -> Octonion:
-        return Octonion(self.matrix.apply(x.coords))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented

@@ -11,12 +11,11 @@ scalar.  It always picks the first row (top-down) with a nonzero entry in
 the current column, sweeping columns left to right, so equal inputs
 produce bit-for-bit equal outputs.  Kernel bases are canonical (the unique
 reduced echelon basis of the null space, leading entries 1) and read off
-one elimination of the reversed columns; a dimension is a rank.  The
-determinant is Bareiss elimination on the same clearing, so an int
-matrix has an int determinant.  Products, traces and matrix-vector
-products of int matrices stay int.  :class:`_IntCoords`, int numerators
-over one denominator, stores octonions (both models) and Cartan triples;
-:class:`_Record` is the package's one immutable record base.
+one elimination of the reversed columns; a dimension is a rank.
+Products, traces and matrix-vector products of int matrices stay int.
+:class:`_IntCoords`, int numerators over one denominator, stores
+octonions (both models) and Cartan triples; :class:`_Record` is the
+package's one immutable record base.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, attrgetter, sub
+from operator import add, attrgetter
 
 
 # bound on a rational string's decimal exponent, checked before Fraction
@@ -79,18 +78,11 @@ class Matrix:
             flat.extend(r)
         return cls(m, n, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int) -> int | Fraction:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -135,25 +127,14 @@ class Matrix:
                             if bkj:
                                 out[obase + j] = out[obase + j] + aik * bkj
             return Matrix(self.rows, p, out)
-        if isinstance(other, (int, Fraction)):
-            return Matrix(self.rows, self.cols, [e * other for e in self.entries])
         return NotImplemented
 
-    def _entrywise(self, op, other):
+    def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, list(map(op, self.entries, other.entries)))
-
-    def __add__(self, other):
-        return self._entrywise(add, other)
-
-    def __sub__(self, other):
-        return self._entrywise(sub, other)
-
-    def __neg__(self):
-        return Matrix(self.rows, self.cols, [-e for e in self.entries])
+        return Matrix(self.rows, self.cols, list(map(add, self.entries, other.entries)))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -368,14 +349,6 @@ def _rref_rows(rows) -> tuple:
 # public operations
 # ---------------------------------------------------------------------------
 
-def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form (ints where integral, zero rows last, as
-    many rows as m) and pivot columns."""
-    rows, pivots = _rref_rows(m.row_lists())
-    flat = [v for r in rows for v in r] + [0] * ((m.rows - len(rows)) * m.cols)
-    return Matrix(m.rows, m.cols, flat), pivots
-
-
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
     _, pivots = _rref_rows([m.row(i) for i in range(m.rows)])
@@ -408,58 +381,3 @@ def kernel_basis(m: Matrix) -> tuple:
                 v[c] = -row[f]
         vecs.append(tuple(v[::-1]))
     return tuple(vecs)
-
-
-def solve(m: Matrix, b) -> tuple | None:
-    """One exact solution of M x = b, or None if the system is inconsistent.
-
-    The particular solution sets all free variables to zero; its
-    integral entries are ints.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    rows = m.row_lists()
-    for row, rhs in zip(rows, b):
-        row.append(rhs)
-    red, pivots = _rref_rows(rows)
-    n = m.cols
-    if n in pivots:
-        return None
-    x = [0] * n
-    for ridx, c in enumerate(pivots):
-        x[c] = red[ridx][n]
-    return tuple(x)
-
-
-def det(m: Matrix) -> int | Fraction:
-    """Exact determinant by Bareiss's fraction-free elimination (1968).
-
-    The matrix is first scaled to integers by the lcm D of its
-    denominators.  Each step a[i][j] <- (a[i][j] a[k][k] - a[i][k] a[k][j])
-    / p divides exactly by the previous pivot p, so every value stays an
-    integer and the last pivot is det(D m) up to the sign of the row swaps;
-    with no swaps the k-th pivot is the k-th leading principal minor.
-    Returns an int, or a Fraction when D > 1.
-    """
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    den, ints = _cleared(m.entries)
-    rows = [list(ints[i * n : (i + 1) * n]) for i in range(n)]
-    sign = prev = 1
-    for c in range(n):
-        hit = next((i for i in range(c, n) if rows[i][c]), -1)
-        if hit < 0:
-            return 0
-        if hit != c:
-            rows[c], rows[hit] = rows[hit], rows[c]
-            sign = -sign
-        prow = rows[c]
-        pv = prow[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * pv - f * prow[j]) // prev
-        prev = pv
-    return Fraction(sign * prev, den ** n) if den != 1 else sign * prev

@@ -20,7 +20,6 @@ streams its rows through the same memo without holding per-point data.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from functools import lru_cache
 
@@ -222,6 +221,8 @@ class Census(_Record):
     def json_lines(self):
         """json.dumps(self.to_json_dict(), indent=2) as whole lines, one
         census entry per piece: joined by newlines they are that text."""
+        import json
+
         yield json.dumps(self._header(), indent=2)[:-2] + ',\n  "census": ['
         entries = (
             _JSON_ENTRY % (t1, t2, t3, dim, orbit_type.value)

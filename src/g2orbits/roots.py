@@ -23,7 +23,7 @@ from math import isqrt
 
 from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
-from .linalg import Matrix, _frac, _IntCoords, _quotient, _Record, det, kernel_basis, rank, solve
+from .linalg import Matrix, _frac, _IntCoords, _quotient, _Record, kernel_basis, rank
 
 #: tau coordinates of the two Cartan generators
 TAU_H1 = (1, -1, 0)
@@ -83,7 +83,6 @@ def _rotation_matrix(tau) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-@lru_cache(maxsize=1)
 def cartan_basis():
     """The two commuting Cartan generators H1 (tau=(1,-1,0)) and H2
     (tau=(0,1,-1)) as verified derivations: each must lie in the span of
@@ -159,13 +158,6 @@ def canonical_root_coeffs(a) -> tuple:
     return tuple(int(d) for d in diffs)
 
 
-@lru_cache(maxsize=1)
-def _cartan_gram() -> Matrix:
-    """2x2 Killing Gram matrix of (H1, H2): tr(ad H_i ad H_j)."""
-    ads = _cartan_ad()
-    return Matrix.from_rows([[(x * y).trace() for y in ads] for x in ads])
-
-
 def _root_value(ad: Matrix, w, u, v: int) -> int:
     """The integer r with ad w = (r/v) u, where u = ad(H*) w and w lies on
     the root plane where ad(H*)^2 = -v^2; checked on every coordinate."""
@@ -194,7 +186,8 @@ def root_system():
     4+5 and 6+7, two root planes each.  On a block's even degree ad(H*)^2
     is 2x2 with eigenvalues -a^2, -b^2 (a, b root values on H*), and the
     kernel of ad(H*)^2 + v^2 there is a line of the root plane of value v.
-    One 2x2 Killing solve per root gives its dual H, hence both its length
+    One 2x2 Killing solve per root, by Cramer's rule on the Gram matrix
+    tr(ad H_i ad H_j) of (H1, H2), gives its dual H, hence both its length
     -B(H, H) and its coroot 2H/B(H, H)."""
     degrees = derivation_basis().degrees  # even degrees first in each block
     blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
@@ -206,12 +199,12 @@ def root_system():
 
     raw = []
     for a1, a2, star in parts[1:]:
-        square = _restricted(star * star, (0, 1))
-        total = -square.trace()  # a^2 + b^2
-        gap = isqrt(max(total * total - 4 * det(square), 0))  # |a^2 - b^2|
+        s00, s01, s10, s11 = _restricted(star * star, (0, 1)).entries
+        total = -(s00 + s11)  # a^2 + b^2
+        gap = isqrt(max(total * total - 4 * (s00 * s11 - s01 * s10), 0))  # |a^2 - b^2|
         # a v that is no root value has no kernel: the fill check fails
         for v in {isqrt(max(x, 0)) for x in ((total + gap) // 2, (total - gap) // 2)}:
-            for line in kernel_basis(square + Matrix.identity(2) * (v * v)):
+            for line in kernel_basis(Matrix(2, 2, (s00 + v * v, s01, s10, s11 + v * v))):
                 w = (*line, 0, 0)
                 u = star.apply(w)
                 r1, r2 = (_root_value(m, w, u, v) for m in (a1, a2))
@@ -220,14 +213,16 @@ def root_system():
     if len(raw) + zero_dim != G2_DIM:
         raise InternalInvariantError(f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra")
 
-    gram = _cartan_gram()
+    ads = _cartan_ad()
+    (g11, g12), (g21, g22) = [[(x * y).trace() for y in ads] for x in ads]
+    d = g11 * g22 - g12 * g21
+    if not d:
+        raise InternalInvariantError("Killing Gram matrix is singular")
     found = {}  # coeffs -> (-B(H, H), 2H/B(H, H)) for the Killing dual H = x1 H1 + x2 H2
     for coeffs, r1, r2 in raw:
-        x = solve(gram, (r1, r2))
-        if x is None:
-            raise InternalInvariantError("Killing Gram matrix is singular")
-        sq = -(r1 * x[0] + r2 * x[1])
-        found[coeffs] = sq, CartanElement([Fraction(-2, sq) * (x[0] * a + x[1] * b) for a, b in zip(TAU_H1, TAU_H2)])
+        x1, x2 = _quotient(g22 * r1 - g12 * r2, d), _quotient(g11 * r2 - g21 * r1, d)
+        sq = -(r1 * x1 + r2 * x2)
+        found[coeffs] = sq, CartanElement([Fraction(-2, sq) * (x1 * a + x2 * b) for a, b in zip(TAU_H1, TAU_H2)])
 
     min_len = min(sq for sq, _ in found.values())
     roots = tuple(Root(c, sq, "short" if sq == min_len else "long", co) for c, (sq, co) in sorted(found.items()))

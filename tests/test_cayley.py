@@ -26,6 +26,7 @@ from g2orbits.cayley import (
     to_complex_model,
 )
 from g2orbits.linalg import Matrix, rank
+from matrices import identity, row_lists, scaled
 from test_acceptance import _CERTIFICATE
 
 E = [Octonion.basis(i) for i in range(8)]
@@ -206,7 +207,7 @@ class TestGammaMaps:
         assert is_automorphism_matrix(gamma1_matrix())
 
     def test_non_automorphism_detected(self):
-        assert not is_automorphism_matrix(Matrix.identity(8) * Fraction(2))
+        assert not is_automorphism_matrix(scaled(identity(8), Fraction(2)))
         bad = Matrix.from_rows(
             [[Fraction(1 if (i, j) in {(0, 1), (1, 0)} else (1 if i == j and i > 1 else 0))
               for j in range(8)] for i in range(8)]
@@ -237,7 +238,7 @@ def is_automorphism_by_octonions(m: Matrix) -> bool:
         return False
     if rank(m) != 8:
         return False
-    images = [Octonion(col) for col in zip(*m.row_lists())]  # m e_i, column i
+    images = [Octonion(col) for col in zip(*row_lists(m))]  # m e_i, column i
     for i in range(8):
         for j in range(8):
             k, sign = MULT_TABLE[i][j]
@@ -266,16 +267,16 @@ def certificate() -> Matrix:
 
 #: name -> (matrix, is it an automorphism)
 AUTOMORPHISM_CASES = {
-    "identity": (Matrix.identity(8), True),
+    "identity": (identity(8), True),
     "gamma": (gamma_matrix(), True),
     "gamma1": (gamma1_matrix(), True),
     "certificate": (certificate(), True),
     "pythagorean": (rotation([(1, 2), (5, 6)]), True),  # e1 -> (3 e1 + 4 e2)/5
     "one_plane": (rotation([(1, 2)]), False),  # orthogonal, not an automorphism
-    "twice_identity": (Matrix.identity(8) * F(2), False),
+    "twice_identity": (scaled(identity(8), F(2)), False),
     "singular": (Matrix(8, 8, [int(i == j < 7) for i in range(8) for j in range(8)]), False),
     "zero": (Matrix(8, 8, [0] * 64), False),
-    "7x7": (Matrix.identity(7), False),
+    "7x7": (identity(7), False),
 }
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -318,7 +319,7 @@ class TestOneProductKernel:
         assert is_automorphism_matrix(m) == is_automorphism_by_octonions(m)
 
     def test_a_float_matrix_raises(self):
-        m = Matrix(8, 8, [float(v) for v in Matrix.identity(8).entries])
+        m = Matrix(8, 8, [float(v) for v in identity(8).entries])
         for test in (is_automorphism_matrix, is_automorphism_by_octonions):
             with pytest.raises(TypeError):
                 test(m)

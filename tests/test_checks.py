@@ -1,6 +1,7 @@
 """Tests of the verification suite itself: the draws it makes, that
 checks 5, 7, 9 and 10 fail on a broken algebra or classifier and agree with
-the forms they replaced, and that check 9 needs no 8x8 bracket."""
+the forms they replaced, and that check 9 needs no 8x8 bracket and no
+determinant."""
 
 import ast
 import inspect
@@ -30,6 +31,7 @@ from g2orbits.derivations import (
 from g2orbits.linalg import Matrix
 from g2orbits.orbits import OrbitType, classify
 from g2orbits.roots import CartanElement, roots_in, root_system, vanishing_mask, weyl_reflect
+from matrices import det, difference, row_lists, scaled
 from test_derivations import bracket, killing_form
 
 
@@ -229,11 +231,47 @@ def cayley_laws_on_numerators() -> str:
     return SAMPLED_DETAIL
 
 
+def _sub(x, y):
+    """Componentwise difference of two int tuples."""
+    return tuple(map(operator.sub, x, y))
+
+
+def cayley_laws_by_associators() -> str:
+    """Check 7 before it ran on the table of unit products: each associator
+    (e_i e_j) e_k - e_i (e_j e_k) formed by two more _product calls on a
+    unit product and a unit, 1,024 in all, and the sign-map cases by one
+    _product each (1,281 calls)."""
+    m, dot, signs = cayley._product, cayley._dot, cayley._signs
+    c, g, g1 = cayley._CONJ_SIGNS, cayley._GAMMA_SIGNS, cayley._GAMMA1_SIGNS
+    e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    t = [[m(x, y) for y in e] for x in e]
+    a = [[[_sub(m(t[i][j], z), m(x, t[j][k])) for k, z in enumerate(e)] for j in range(8)] for i, x in enumerate(e)]
+    pairs = [(i, j) for i in range(8) for j in range(i, 8)]
+    for i, j in pairs:
+        for k in range(8):
+            assert not any(map(operator.add, a[i][j][k], a[j][i][k])), f"left alternativity fails at {i, j, k}"
+            assert not any(map(operator.add, a[k][i][j], a[k][j][i])), f"right alternativity fails at {i, j, k}"
+    gram = [[dot(x, y) for y in e] for x in e]
+    for i, j, k, l in [p + q for p in pairs for q in pairs]:
+        lhs = dot(t[i][k], t[j][l]) + dot(t[i][l], t[j][k])
+        assert lhs == 2 * gram[i][j] * gram[k][l], f"composition fails at {i, j, k, l}"
+    for i, x in enumerate(e):
+        for j, y in enumerate(e):
+            assert signs(c, t[i][j]) == m(signs(c, y), signs(c, x)), f"anti-automorphism fails at {i, j}"
+            assert signs(g, t[i][j]) == m(signs(g, x), signs(g, y)), f"gamma not multiplicative on ({i},{j})"
+            assert signs(g1, t[i][j]) == m(signs(g1, x), signs(g1, y)), f"gamma1 not multiplicative on ({i},{j})"
+        assert signs(g, signs(g, x)) == x and signs(g1, signs(g1, x)) == x, f"involution fails at {i}"
+    x, y = (2, -3, 5, -7, 11, -13, 17, -19), (23, 29, -31, 37, -41, 43, 47, -53)
+    bilinear = tuple(sum(x[i] * y[j] * t[i][j][k] for i in range(8) for j in range(8)) for k in range(8))
+    assert m(x, y) == bilinear, "the product is not the bilinear map of the unit products"
+    return TestCheck07.DETAIL
+
+
 def alternativity_by_pairs() -> str:
     """Check 7's alternativity half before it read one associator table: the
     two linearised laws on the units, each side formed by its own products
     (four per law and case, 2,304 in all)."""
-    m, sub = cayley._product, cayley._sub
+    m, sub = cayley._product, _sub
     e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
     t = [[m(x, y) for y in e] for x in e]
     for i in range(8):
@@ -271,6 +309,32 @@ def product_with_a_flipped_unit_product(i, j):
     return flipped
 
 
+def product_with_a_doubled_unit_product(i, j):
+    """The doubling product with e_i e_j = s e_k turned into 2 e_k and every
+    other unit product kept: bilinear, and not a signed unit at (i, j)."""
+    k, s = MULT_TABLE[i][j]
+
+    def doubled(x, y):
+        z = list(_product(x, y))
+        z[k] += (2 - s) * x[i] * y[j]
+        return tuple(z)
+
+    return doubled
+
+
+def product_with_a_spread_unit_product(i, j):
+    """The doubling product with e_i e_j = s e_k turned into s e_k + e_l, l
+    the next index: bilinear, and not a multiple of one unit at (i, j)."""
+    k = MULT_TABLE[i][j][0]
+
+    def spread(x, y):
+        z = list(_product(x, y))
+        z[(k + 1) % 8] += x[i] * y[j]
+        return tuple(z)
+
+    return spread
+
+
 def product_with_a_quadratic_term(x, y):
     """The doubling product plus x1 x2 on e0: zero on every pair of units."""
     z = _product(x, y)
@@ -284,8 +348,25 @@ CONJ_SIGNS_LEAVING_E7 = (1, -1, -1, -1, -1, -1, -1, 1)
 #: only e5 changes sign
 SIGNS_NOT_MULTIPLICATIVE = (1, 1, 1, 1, 1, -1, -1, -1)
 
-ALL_FORMS = [cayley_laws_on_octonions, cayley_laws_on_numerators, checks.check_07_cayley_laws]
-FORM_IDS = ["oracle", "numerators", "check"]
+#: gamma's signs with e5 left un-negated
+GAMMA_SIGNS_LEAVING_E5 = (1, 1, 1, 1, -1, 1, -1, -1)
+
+ALL_FORMS = [
+    cayley_laws_on_octonions, cayley_laws_on_numerators, cayley_laws_by_associators, checks.check_07_cayley_laws
+]
+FORM_IDS = ["oracle", "numerators", "associators", "check"]
+
+
+def same_failure(monkeypatch, name, value):
+    """With cayley's name patched to value, check 7 and the associator form
+    both fail, with the same message: that message."""
+    monkeypatch.setattr(cayley, name, value)
+    with pytest.raises(AssertionError) as failure:
+        checks.check_07_cayley_laws()
+    with pytest.raises(AssertionError) as oracle_failure:
+        cayley_laws_by_associators()
+    assert str(failure.value) == first_line(oracle_failure.value)
+    return str(failure.value)
 
 
 class TestCheck07:
@@ -296,7 +377,7 @@ class TestCheck07:
 
     def test_agrees_with_the_octonion_oracle(self):
         # the sampled forms pass on the same algebra the linearised laws prove
-        assert checks.check_07_cayley_laws() == self.DETAIL
+        assert checks.check_07_cayley_laws() == cayley_laws_by_associators() == self.DETAIL
         assert cayley_laws_on_octonions() == cayley_laws_on_numerators() == SAMPLED_DETAIL
 
     @pytest.mark.parametrize("law", ALL_FORMS, ids=FORM_IDS)
@@ -324,6 +405,26 @@ class TestCheck07:
         with pytest.raises(AssertionError) as oracle_failure:
             alternativity_by_pairs()
         assert str(failure.value) == first_line(oracle_failure.value)
+        assert same_failure(monkeypatch, "_product", flipped) == str(failure.value)
+
+    @pytest.mark.parametrize("i,j", [(1, 2), (3, 5), (0, 0), (0, 4), (7, 7)])
+    def test_a_unit_product_of_two_fails_like_the_associator_form(self, monkeypatch, i, j):
+        # e_i e_j = 2 e_k is a multiple of one unit, so the table holds it
+        # and a law fails where the associator form fails
+        doubled = product_with_a_doubled_unit_product(i, j)
+        e = [tuple(int(a == b) for b in range(8)) for a in range(8)]
+        assert sorted(doubled(e[i], e[j])) == [0] * 7 + [2]
+        message = same_failure(monkeypatch, "_product", doubled)
+        assert "fails at" in message
+
+    def test_a_unit_product_of_two_units_fails(self, monkeypatch):
+        # the table cannot hold s e_k + e_l: check 7 refuses it as it reads
+        # the table, and the associator form fails a law
+        monkeypatch.setattr(cayley, "_product", product_with_a_spread_unit_product(3, 5))
+        with pytest.raises(AssertionError, match="a unit product is not a multiple of one unit"):
+            checks.check_07_cayley_laws()
+        with pytest.raises(AssertionError, match="fails at"):
+            cayley_laws_by_associators()
 
     def test_alternativity_agrees_with_the_pairwise_oracle(self, monkeypatch):
         assert alternativity_by_pairs() == "alternative on the units"
@@ -346,17 +447,31 @@ class TestCheck07:
         with pytest.raises(AssertionError) as oracle_failure:
             involutions_multiplicative_on_octonions()
         assert str(failure.value) == first_line(oracle_failure.value) == f"{name} not multiplicative on (1,4)"
+        assert same_failure(monkeypatch, attr, SIGNS_NOT_MULTIPLICATIVE) == str(failure.value)
+
+    @pytest.mark.parametrize(
+        "attr,signs,message",
+        [
+            ("_GAMMA_SIGNS", GAMMA_SIGNS_LEAVING_E5, "gamma not multiplicative on (1,4)"),
+            ("_CONJ_SIGNS", CONJ_SIGNS_LEAVING_E7, "anti-automorphism fails at (1, 6)"),
+        ],
+        ids=["gamma", "conj"],
+    )
+    def test_a_flipped_sign_fails_like_the_associator_form(self, monkeypatch, attr, signs, message):
+        assert same_failure(monkeypatch, attr, signs) == message
 
     def test_product_calls(self, monkeypatch):
-        # 64 unit products, 1,024 for the associator table, 64 cases each of
-        # the anti-automorphism, gamma and gamma1, and 1 dense pair: 1,281
-        # (1,409 with 256 inside gamma and gamma1 Octonion products, 2,689
-        # with four products per law and case)
+        # 64 unit products and 1 dense pair: 65 (1,281 with the associator
+        # table and one product per sign-map case, 2,689 with four products
+        # per law and case)
         calls = []
         product = cayley._product
         monkeypatch.setattr(cayley, "_product", lambda x, y: calls.append(1) or product(x, y))
         checks.check_07_cayley_laws()
-        assert len(calls) <= 1281
+        assert len(calls) <= 65
+        calls.clear()
+        cayley_laws_by_associators()
+        assert len(calls) == 1281
 
     def test_a_term_that_is_not_bilinear_fails_the_dense_pair(self, monkeypatch):
         monkeypatch.setattr(cayley, "_product", product_with_a_quadratic_term)
@@ -635,12 +750,38 @@ def jacobi_by_ad_products(b):
     ad = [adjoint_matrix(d, b) for d in b.basis]
     for i in range(n):
         for j in range(i + 1, n):
-            assert b.ad(c[i][j]) == ad[i] * ad[j] - ad[j] * ad[i], f"Jacobi fails at ({i},{j})"
+            assert b.ad(c[i][j]) == difference(ad[i] * ad[j], ad[j] * ad[i]), f"Jacobi fails at ({i},{j})"
+
+
+def leading_minors_by_det(gram):
+    """Check 9's definiteness half before one Bareiss pass replaced it: the
+    leading minors of -B, each by its own determinant (14 calls)."""
+    neg = scaled(gram, -1)
+    for k in range(1, gram.rows + 1):
+        minor = Matrix(k, k, [neg.entry(i, j) for i in range(k) for j in range(k)])
+        assert det(minor) > 0, f"leading minor {k} of -B not positive"
+
+
+def minor_message(run) -> str | None:
+    """The message of the AssertionError run() raises if it is about a
+    leading minor, else None."""
+    try:
+        run()
+    except AssertionError as exc:
+        message = first_line(exc)
+        return message if message.startswith("leading minor") else None
+    return None
+
+
+#: the 91 entries above the diagonal and the 14 on it of a symmetric int matrix
+symmetric_grams = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=91, max_size=91), st.lists(st.integers(-40, 4), min_size=14, max_size=14)
+)
 
 
 def gram_with(entries):
     """The Killing Gram matrix with the given {(i, j): value} entries."""
-    rows = derivation_basis().killing_gram().row_lists()
+    rows = row_lists(derivation_basis().killing_gram())
     for (i, j), v in entries.items():
         rows[i][j] = v
     return Matrix.from_rows(rows)
@@ -671,6 +812,30 @@ class TestCheck09CatchesABrokenAlgebra:
         with pytest.raises(AssertionError, match="not ad-invariant"):
             checks.check_09_lie_algebra_integrity()
 
+    @pytest.mark.parametrize("k,entries", [(1, {(0, 0): 0}), (7, {(6, 6): 10**6}), (14, {(13, 13): 10**6})])
+    def test_first_minor_not_positive_agrees_with_the_determinants(self, monkeypatch, k, entries):
+        gram = gram_with(entries)
+        with pytest.raises(AssertionError) as oracle_failure:
+            leading_minors_by_det(gram)
+        patched_basis(monkeypatch, gram=gram)
+        with pytest.raises(AssertionError) as failure:
+            checks.check_09_lie_algebra_integrity()
+        assert str(failure.value) == first_line(oracle_failure.value) == f"leading minor {k} of -B not positive"
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(symmetric_grams)
+    def test_bareiss_pivots_agree_with_the_determinants(self, gram_data):
+        # a symmetric int matrix with a mostly negative diagonal in place of
+        # B: the first failing minor, or none, is the same in both forms
+        upper, diag = gram_data
+        entries = dict(zip([(i, j) for i in range(14) for j in range(i + 1, 14)], upper))
+        entries = {**entries, **{(j, i): v for (i, j), v in entries.items()}, **{(i, i): v for i, v in enumerate(diag)}}
+        gram = gram_with(entries)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            patched_basis(monkeypatch, gram=gram)
+            check = minor_message(checks.check_09_lie_algebra_integrity)
+        assert check == minor_message(lambda: leading_minors_by_det(gram))
+
     def test_one_flipped_gram_entry(self, monkeypatch):
         g = derivation_basis().killing_gram()
         patched_basis(monkeypatch, gram=gram_with({(0, 13): -g.entry(0, 13)}))
@@ -686,6 +851,12 @@ def test_sampled_ad_invariance_of_the_old_check_09():
     for _ in range(100):
         x, y, z = (b.from_coordinates([rng.randint(-3, 3) for _ in range(b.dim)]) for _ in range(3))
         assert killing_form(bracket(z, x), y, b) + killing_form(x, bracket(z, y), b) == 0
+
+
+def test_leading_minors_of_the_old_check_09():
+    # the 14 determinants check 9 took before one Bareiss pass read the
+    # minors off its pivots: the oracle it keeps
+    leading_minors_by_det(derivation_basis().killing_gram())
 
 
 def test_ad_homomorphism_jacobi_of_the_old_check_09():

@@ -296,12 +296,12 @@ def test_every_export_resolves_once():
 HEAVY = ("dataclasses", "typing", "inspect", "ast")
 
 
-def _heavy_loaded_after(code: str) -> list:
+def _heavy_loaded_after(code: str, modules=HEAVY) -> list:
     """Run code in a fresh ``python -S`` interpreter with the package on the
-    path and list the HEAVY modules in sys.modules afterwards (the last
-    line of stdout, so code may print)."""
+    path and list the given modules (by default HEAVY) in sys.modules
+    afterwards (the last line of stdout, so code may print)."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = f"import sys\n{code}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    code = f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     return ast.literal_eval(out.stdout.splitlines()[-1])
 
@@ -313,6 +313,47 @@ def test_detector_sees_dataclasses_imported():
 def test_a_cold_classify_loads_no_dataclasses_or_typing():
     code = 'import g2orbits.cli as cli\ncli.main(["classify", "--tau=1,0,-1", "--json"])'
     assert _heavy_loaded_after(code) == []
+
+
+@pytest.mark.parametrize("argv", [["classify", "--tau=1,0,-1"], ["check"]], ids=["classify", "check"])
+def test_json_is_imported_only_where_json_is_written(argv):
+    code = f"import g2orbits.cli as cli\ncli.main({argv!r})"
+    assert _heavy_loaded_after(code, ("json",)) == []
+
+
+def test_detector_sees_json_imported():
+    code = 'import g2orbits.cli as cli\ncli.main(["classify", "--tau=1,0,-1", "--json"])'
+    assert _heavy_loaded_after(code, ("json",)) == ["json"]
+
+
+def _unreferenced_definitions(source: str, others) -> list:
+    """Top-level functions and classes that source defines and that neither
+    it nor any of the sources others names: by bare name, as an attribute
+    or in a from-import."""
+    defined = [n.name for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    used = set()
+    for tree in map(ast.parse, [source, *others]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(set(defined) - used)
+
+
+def test_detector_sees_an_unreferenced_definition():
+    module = "def a():\n    return _d()\ndef b():\n    pass\nclass C:\n    pass\ndef _d():\n    return 1\ndef e():\n    pass\n"
+    others = ["from .m import a\n", "x = m.C()\n"]
+    assert _unreferenced_definitions(module, others) == ["b", "e"]
+
+
+def test_linalg_defines_only_what_the_package_uses():
+    # an entry point only tests call belongs in the tests (tests/matrices.py);
+    # an export from __init__ alone is not a use
+    others = [p.read_text() for p in MODULES if p.name != "linalg.py"]
+    assert _unreferenced_definitions((SRC / "linalg.py").read_text(), others) == []
 
 
 def _unbounded_caches(namespace) -> list:

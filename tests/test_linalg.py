@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from g2orbits import checks, linalg
 from g2orbits.cayley import Octonion, gamma_matrix
 from g2orbits.derivations import derivation_basis, fixed_subalgebra, leibniz_system, stabilizer_subalgebra
-from g2orbits.linalg import Matrix, _rref_rows, det, kernel_basis, rank, rref, solve
+from g2orbits.linalg import Matrix, _rref_rows, kernel_basis, rank
 from g2orbits.orbits import _representative, centralizer
 from g2orbits.roots import CartanElement, cartan_adjoint, vanishing_roots
+from matrices import det, identity, row_lists, rref, solve
 from test_derivations import one_tau_per_vanishing_set
 
 
@@ -35,7 +36,7 @@ class TestMatrixBasics:
 
     def test_float_right_hand_side_raises_type_error(self):
         with pytest.raises(TypeError, match="0.5 is a float"):
-            solve(Matrix.identity(2), (1, 0.5))
+            solve(identity(2), (1, 0.5))
 
     def test_product_and_transpose(self):
         a = Matrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
@@ -85,7 +86,7 @@ class TestExponentBound:
 
 class TestRank:
     def test_identity(self):
-        assert rank(Matrix.identity(2)) == 2
+        assert rank(identity(2)) == 2
 
     def test_rank_one(self):
         assert rank(Matrix.from_rows([[F(1), F(1)], [F(1), F(1)]])) == 1
@@ -110,7 +111,7 @@ class TestRank:
 
 class TestKernel:
     def test_identity_kernel_empty(self):
-        assert kernel_basis(Matrix.identity(3)) == ()
+        assert kernel_basis(identity(3)) == ()
 
     def test_single_equation(self):
         k = kernel_basis(Matrix.from_rows([[F(1), F(1)]]))
@@ -262,7 +263,7 @@ class TestRepeatedRows:
         from g2orbits.derivations import leibniz_system
 
         system = leibniz_system()
-        distinct = len(set(map(tuple, system.row_lists())))
+        distinct = len(set(map(tuple, row_lists(system))))
         calls = []
         cleared = linalg._cleared
         monkeypatch.setattr(linalg, "_cleared", lambda values: calls.append(values) or cleared(values))
@@ -326,9 +327,10 @@ small_rationals = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-4, 4),
 
 
 class TestIntWhereIntegral:
-    """rref, kernel_basis and solve return an int for every integral value
-    and a Fraction for every other one, with the values of plain Fraction
-    elimination."""
+    """kernel_basis, and the reduced rows and solutions read off the
+    elimination core (rref and solve in matrices.py), hold an int for every
+    integral value and a Fraction for every other one, with the values of
+    plain Fraction elimination."""
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(matrices_with_repeats(small_rationals), st.data())
@@ -369,7 +371,7 @@ class TestIntWhereIntegral:
 def two_pass_kernel(m: Matrix) -> tuple:
     """The kernel as it was computed before one elimination sufficed: the
     standard null vectors, then a second elimination to canonicalise them."""
-    red, pivots = _rref_rows(m.row_lists())
+    red, pivots = _rref_rows(row_lists(m))
     n = m.cols
     free = sorted(set(range(n)).difference(pivots))
     if not free:
@@ -440,7 +442,7 @@ class TestOneElimination:
     def test_one_elimination_per_kernel(self, monkeypatch):
         calls = []
         monkeypatch.setattr(linalg, "_rref_rows", lambda rows: calls.append(rows) or _rref_rows(rows))
-        for a in (leibniz_system(), Matrix.from_rows([[1, 1, 0], [0, 0, 1]]), Matrix.identity(3), Matrix(0, 2, ())):
+        for a in (leibniz_system(), Matrix.from_rows([[1, 1, 0], [0, 0, 1]]), identity(3), Matrix(0, 2, ())):
             calls.clear()
             kernel_basis(a)
             assert len(calls) == 1
@@ -530,13 +532,15 @@ class TestSparseElimination:
     def test_package_systems(self):
         systems = [leibniz_system()] + [cartan_adjoint(tau) for tau in checks._vanishing_representatives().values()]
         for a in systems:
-            assert_same_elimination([list(linalg._cleared(row)[1]) for row in a.row_lists()])
+            assert_same_elimination([list(linalg._cleared(row)[1]) for row in row_lists(a)])
 
 
 class TestSolve:
+    """One solution read off the elimination of the augmented rows."""
+
     def test_identity(self):
         b = (F(3), F(-2))
-        assert solve(Matrix.identity(2), b) == b
+        assert solve(identity(2), b) == b
 
     def test_inconsistent(self):
         a = Matrix.from_rows([[F(1), F(1)], [F(1), F(1)]])
@@ -560,8 +564,10 @@ class TestSolve:
 
 
 class TestDet:
+    """The Bareiss determinant that check 9's old form takes its minors with."""
+
     def test_examples(self):
-        assert det(Matrix.identity(3)) == 1
+        assert det(identity(3)) == 1
         a = Matrix.from_rows([[F(2), F(1)], [F(1), F(1)]])
         assert det(a) == 1
         assert det(Matrix.from_rows([[F(1), F(1)], [F(1), F(1)]])) == 0
@@ -596,7 +602,7 @@ class TestDet:
             m = Matrix(n, n, entries)
             got = det(m)
             assert not isinstance(got, float)
-            assert got == cofactor_det(m.row_lists())
+            assert got == cofactor_det(row_lists(m))
             if kind == "int":
                 assert type(got) is int
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from g2orbits import derivations, orbits, roots
 from g2orbits.derivations import G2AlgebraBasis, adjoint_matrix, derivation_basis
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
-from g2orbits.linalg import Matrix, kernel_basis, rank, solve
+from g2orbits.linalg import Matrix, kernel_basis, rank
 from g2orbits.orbits import centralizer, classify, lattice_rows, scan
 from g2orbits.roots import (
     TAU_GENERIC,
@@ -18,7 +18,6 @@ from g2orbits.roots import (
     TAU_H2,
     CartanElement,
     _cartan_ad,
-    _cartan_gram,
     canonical_root_coeffs,
     cartan_adjoint,
     cartan_basis,
@@ -29,6 +28,7 @@ from g2orbits.roots import (
     vanishing_roots,
     weyl_reflect,
 )
+from matrices import identity, row_lists, scaled, sympy_solve
 from test_derivations import (
     bracket,
     is_skew,
@@ -52,8 +52,9 @@ def random_cartan(rng):
 
 @lru_cache(maxsize=1)
 def cartan_gram_by_killing_form() -> Matrix:
-    """roots._cartan_gram before it became the trace form of ad(H1) and
-    ad(H2): the Killing form of the 8x8 generators, read off the basis."""
+    """The Gram matrix of (H1, H2) that root_system solves with, before it
+    became the trace form of ad(H1) and ad(H2): the Killing form of the 8x8
+    generators, read off the basis."""
     b = derivation_basis()
     h1, h2 = cartan_basis()
     g11 = killing_form(h1, h1, b)
@@ -66,7 +67,7 @@ def reflect_by_solve(root, tau):
     """s_r(tau) with the root's Killing dual solved afresh on every call,
     on the Gram matrix of the Killing form rather than roots' trace form."""
     rv = (root.value(TAU_H1), root.value(TAU_H2))
-    x = solve(cartan_gram_by_killing_form(), rv)
+    x = sympy_solve(cartan_gram_by_killing_form(), rv)
     coef = Fraction(2 * root.value(tau), rv[0] * x[0] + rv[1] * x[1])
     return CartanElement(
         tuple(tau.tau[i] - coef * (x[0] * TAU_H1[i] + x[1] * TAU_H2[i]) for i in range(3))
@@ -170,9 +171,9 @@ class TestStoredLikeOctonions:
         ]
 
         def forbidden(*args):
-            raise AssertionError("roots solved or built a Fraction for a stored tau")
+            raise AssertionError("roots divided or built a Fraction for a stored tau")
 
-        monkeypatch.setattr(roots, "solve", forbidden)
+        monkeypatch.setattr(roots, "_quotient", forbidden)
         monkeypatch.setattr(roots, "Fraction", forbidden)
         for tau, (van, images) in zip(taus, expected):
             assert vanishing_roots(tau) == van
@@ -203,7 +204,7 @@ class TestCartanBasis:
         b = derivation_basis()
         h1, h2 = cartan_basis()
         a1, a2 = adjoint_matrix(h1, b), adjoint_matrix(h2, b)
-        stacked = Matrix.from_rows(a1.row_lists() + a2.row_lists())
+        stacked = Matrix.from_rows(row_lists(a1) + row_lists(a2))
         kern = kernel_basis(stacked)
         assert len(kern) == 2
 
@@ -211,17 +212,19 @@ class TestCartanBasis:
         rotation = roots._rotation_matrix
 
         def slipped(tau):
-            rows = rotation(tau).row_lists()
+            rows = row_lists(rotation(tau))
             rows[3][2] = -rows[3][2]  # the (e2, e3) block is no longer skew
             return Matrix.from_rows(rows)
 
         monkeypatch.setattr(roots, "_rotation_matrix", slipped)
-        cartan_basis.cache_clear()
-        try:
-            with pytest.raises(InternalInvariantError, match="fails the Leibniz check"):
-                cartan_basis()
-        finally:
-            cartan_basis.cache_clear()
+        with pytest.raises(InternalInvariantError, match="fails the Leibniz check"):
+            cartan_basis()
+
+    def test_read_once_through_the_cached_adjoints(self):
+        # the one package caller, _cartan_ad, keeps the pair's adjoints
+        assert not hasattr(cartan_basis, "cache_info")
+        assert _cartan_ad.cache_info().maxsize == 1
+        assert tuple(map(derivation_basis().ad, map(derivation_basis().coordinates, cartan_basis()))) == _cartan_ad()
 
     def test_membership_is_read_off_the_derivation_basis(self, monkeypatch):
         def forbidden():
@@ -229,11 +232,7 @@ class TestCartanBasis:
 
         derivation_basis()
         monkeypatch.setattr(derivations, "leibniz_system", forbidden)
-        cartan_basis.cache_clear()
-        try:
-            h1, h2 = cartan_basis()
-        finally:
-            cartan_basis.cache_clear()
+        h1, h2 = cartan_basis()
         assert h1 == cartan_element(CartanElement(TAU_H1))
         assert h2 == cartan_element(CartanElement(TAU_H2))
 
@@ -265,7 +264,7 @@ class TestCartanElementMap:
             t = random_cartan(rng)
             a, b_ = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
             combo = CartanElement(tuple(a * x + b_ * y for x, y in zip(s.tau, t.tau)))
-            expected = cartan_element(s).matrix * a + cartan_element(t).matrix * b_
+            expected = scaled(cartan_element(s).matrix, a) + scaled(cartan_element(t).matrix, b_)
             assert cartan_element(combo).matrix == expected
 
     def test_sum_nonzero_rejected(self):
@@ -294,9 +293,15 @@ class TestCartanAdjoint:
         assert (cartan_adjoint(TAU_H1), cartan_adjoint(TAU_H2)) == ads
 
     def test_cartan_gram_is_the_killing_form_of_the_generators(self):
-        gram = _cartan_gram()
-        assert gram == cartan_gram_by_killing_form()
+        # root_system solves with the trace form of ad(H1) and ad(H2); the
+        # 12 lengths -r G^-1 r fix the symmetric G, so they pin it to the
+        # Killing form of the generators
+        gram = cartan_gram_by_killing_form()
         assert all(type(v) is int for v in gram.entries)
+        for r in root_system():
+            rv = (r.value(TAU_H1), r.value(TAU_H2))
+            x = sympy_solve(gram, rv)
+            assert r.killing_sq_length == -(rv[0] * x[0] + rv[1] * x[1])
 
     def test_roots_and_orbits_build_no_rotation_and_read_none_back(self, monkeypatch):
         saved = root_system()
@@ -305,7 +310,6 @@ class TestCartanAdjoint:
         _cartan_ad()
         caches = (
             root_system,
-            _cartan_gram,
             roots._integer_roots,
             orbits._stabilizer,
             orbits._structure,
@@ -337,12 +341,12 @@ def root_system_by_scan():
     assert zero_dim == 2
     square = ad_star * ad_star
     vmax = isqrt(-square.trace())  # the squared root values sum to -tr(ad(H*)^2)
-    eye = Matrix.identity(14)
+    eye = identity(14)
     raw = []
     for v in range(1, vmax + 1):
         if len(raw) + zero_dim == 14:
             break
-        kern = kernel_basis(square + eye * (v * v))
+        kern = kernel_basis(square + scaled(eye, v * v))
         if not kern:
             continue
         assert len(kern) == 2
@@ -354,7 +358,7 @@ def root_system_by_scan():
     assert len(raw) + zero_dim == 14
     lengths, coroots = {}, {}
     for coeffs, r1, r2 in raw:
-        x = solve(cartan_gram_by_killing_form(), (r1, r2))
+        x = sympy_solve(cartan_gram_by_killing_form(), (r1, r2))
         lengths[coeffs] = -(r1 * x[0] + r2 * x[1])
         dual = [x[0] * a + x[1] * b for a, b in zip(TAU_H1, TAU_H2)]
         coroots[coeffs] = CartanElement([-2 * h / lengths[coeffs] for h in dual])
@@ -369,7 +373,7 @@ def root_inner(a, b):
     """(a, b) in the form dual to -B, from the roots' values on H1 and H2."""
     ra = (a.value(TAU_H1), a.value(TAU_H2))
     rb = (b.value(TAU_H1), b.value(TAU_H2))
-    x = solve(cartan_gram_by_killing_form(), ra)
+    x = sympy_solve(cartan_gram_by_killing_form(), ra)
     return -(rb[0] * x[0] + rb[1] * x[1])
 
 
@@ -562,10 +566,14 @@ class TestCoroots:
         assert [r.coroot for r in root_system()] == [coroot_by_standard_form(r) for r in root_system()]
 
     def test_one_killing_solve_per_root(self, monkeypatch):
+        # Cramer's rule divides by the Gram determinant twice per root; every
+        # other quotient in root_system is over the den 1 of TAU_GENERIC
         calls = []
-        monkeypatch.setattr(roots, "solve", lambda m, b: calls.append(b) or solve(m, b))
+        quotient = roots._quotient
+        monkeypatch.setattr(roots, "_quotient", lambda v, d: calls.append(d) or quotient(v, d))
         assert roots.root_system.__wrapped__() == root_system()  # uncached
-        assert len(calls) == 12
+        gram = cartan_gram_by_killing_form()
+        assert [d for d in calls if d != 1] == [gram.entry(0, 0) * gram.entry(1, 1) - gram.entry(0, 1) ** 2] * 24
 
 
 class TestWeylReflections:
@@ -599,12 +607,12 @@ class TestWeylReflections:
     @oracle_settings
     @given(rational_taus())
     def test_matches_solve_and_is_involution(self, tau):
-        root_system()
-        with pytest.MonkeyPatch.context() as monkeypatch:  # each root carries its coroot: no solve
-            monkeypatch.setattr(roots, "solve", lambda *args: pytest.fail("weyl_reflect solved a system"))
-            for r in root_system():
+        expected = [reflect_by_solve(r, tau) for r in root_system()]
+        with pytest.MonkeyPatch.context() as monkeypatch:  # each root carries its coroot: no solve, no quotient
+            monkeypatch.setattr(roots, "_quotient", lambda *args: pytest.fail("weyl_reflect solved a system"))
+            for r, oracle in zip(root_system(), expected):
                 image = weyl_reflect(r, tau)
-                assert image == reflect_by_solve(r, tau)
+                assert image == oracle
                 assert weyl_reflect(r, image) == tau
 
     @oracle_settings
