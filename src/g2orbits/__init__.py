@@ -12,12 +12,8 @@ from .cayley import (
     MULT_TABLE,
     Octonion,
     from_complex_model,
-    gamma,
-    gamma1,
     gamma1_matrix,
     gamma_matrix,
-    inner,
-    norm,
     to_complex_model,
 )
 from .derivations import (
@@ -89,14 +85,10 @@ __all__ = [
     "exp_derivation_numeric",
     "fixed_subalgebra",
     "from_complex_model",
-    "gamma",
-    "gamma1",
     "gamma1_matrix",
     "gamma_matrix",
-    "inner",
     "kernel_basis",
     "leibniz_system",
-    "norm",
     "rank",
     "root_system",
     "scan",

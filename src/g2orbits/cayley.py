@@ -16,16 +16,18 @@ were calibrated once so that both products agree on all 64 basis pairs
 (the agreement is re-verified in the test suite).
 
 Elements of both models are ``linalg._IntCoords`` (int numerators over one
-denominator).  ``Octonion`` wraps kernels on int 8-tuples (``_product``,
-``_dot`` and ``_signs`` for conj, gamma and gamma1) and reduces a product
-or sum by one gcd, a sign change by none (it cannot create a common
-factor).  ``_product`` is the one doubling-product loop: the table, the
-automorphism test and checks 7 and 11 call it on tuples, with no Octonion.
+denominator).  An Octonion's one operation is the product, reduced by one
+gcd; moving between the models is a sign change, which needs none (it
+cannot create a common factor).  The kernels run on int 8-tuples:
+``_product`` is the one doubling-product loop, which the table, the
+automorphism test and checks 7 and 11 call with no Octonion; ``_dot`` is
+the inner product making e0..e7 orthonormal, and ``_signs`` applies conj,
+gamma and gamma1, one sign tuple each (check 7 proves them on the units,
+and gamma_matrix and gamma1_matrix are their matrices).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index, mul
 
 from .linalg import Matrix, _cleared, _IntCoords, rank
@@ -58,52 +60,15 @@ class Octonion(_IntCoords):
     SIZE = 8
 
     @classmethod
-    def zero(cls) -> "Octonion":
-        return cls((0,) * 8)
-
-    @classmethod
     def basis(cls, i: int) -> "Octonion":
         if not 0 <= index(i) < 8:  # a float or Fraction index raises TypeError
             raise ValueError("basis index out of range")
         return cls._coprime([int(j == i) for j in range(8)], 1)
 
-    def __add__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        d1, d2 = self.den, other.den
-        return Octonion._reduced([a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
-
-    def __sub__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        d1, d2 = self.den, other.den
-        return Octonion._reduced([a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
-
-    def __neg__(self):
-        return Octonion._coprime([-a for a in self.num], self.den)
-
     def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion._reduced(_product(self.num, other.num), self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return Octonion._reduced([a * n for a in self.num], self.den * other.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "Octonion":
-        """Conjugation: fixes the e0 coordinate, negates the rest."""
-        return Octonion._coprime(_signs(_CONJ_SIGNS, self.num), self.den)
-
-
-def inner(x: Octonion, y: Octonion) -> Fraction:
-    """Standard inner product making e0..e7 orthonormal."""
-    return Fraction(_dot(x.num, y.num), x.den * y.den)
-
-
-def norm(x: Octonion) -> Fraction:
-    return inner(x, x)
+        if not isinstance(other, Octonion):
+            return NotImplemented
+        return Octonion._reduced(_product(self.num, other.num), self.den * other.den)
 
 
 #: the diagonal signs of conj, gamma and gamma1 (and of their matrices)
@@ -118,19 +83,6 @@ def _signs(signs, x):
 
 def _diag_matrix(signs) -> Matrix:
     return Matrix(8, 8, [signs[i] if i == j else 0 for i in range(8) for j in range(8)])
-
-
-def gamma(x: Octonion) -> Octonion:
-    """The automorphism a + b*e4 -> a - b*e4 (negates coordinates 4..7)."""
-    return Octonion._coprime(_signs(_GAMMA_SIGNS, x.num), x.den)
-
-
-def gamma1(x: Octonion) -> Octonion:
-    """The automorphism a + m -> conj(a) + conj(m) of the complex model.
-
-    On real coordinates it fixes e0, e2, e4, e6 and negates e1, e3, e5, e7.
-    """
-    return Octonion._coprime(_signs(_GAMMA1_SIGNS, x.num), x.den)
 
 
 def gamma_matrix() -> Matrix:

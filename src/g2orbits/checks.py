@@ -16,7 +16,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, attrgetter, mul
 
 from . import cayley
@@ -25,26 +24,13 @@ from .derivations import (derivation_basis, exp_derivation_numeric, fixed_subalg
                           stabilizer_subalgebra, subalgebra_structure)
 from .linalg import Matrix, rank
 from .orbits import classify, lattice_rows, scan
-from .roots import TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_system, vanishing_mask, weyl_reflect
+from .roots import (TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_system, vanishing_mask, vanishing_sets,
+                    weyl_reflect)
 
 
 #: the rescalings check 10 applies: a negative one, a fraction, and a ratio of
 #: nine-digit integers like the benchmark's
 SCALES = (Fraction(-1), Fraction(3, 7), Fraction(-271828183, 314159265))
-
-
-@lru_cache(maxsize=1)
-def _vanishing_representatives() -> dict:
-    """The first point of the radius-6 ball with each vanishing set, keyed by
-    its vanishing_mask, once per process.  The centralizer of tau depends only
-    on that set, so one tau per set decides each orbit claim (notes/decisions.md)."""
-    reps = {}
-    for t1, t2, t3, _, _ in lattice_rows(6):
-        mask = vanishing_mask(t1, t2, t3)
-        if mask not in reps:
-            reps[mask] = CartanElement.of(t1, t2, t3)
-    assert len(reps) == 8, f"{len(reps)} vanishing sets in the radius-6 ball, not 8"
-    return reps
 
 
 def check_01_derivation_dimension() -> str:
@@ -62,9 +48,13 @@ def check_01_derivation_dimension() -> str:
 
 def check_02_four_orbit_types() -> str:
     """scan --radius 6: dims only in {2,4,14}, FULL exactly once, all of
-    TORUS / DIM4_SHORT / DIM4_LONG nonempty."""
-    dims = {row[3] for row in lattice_rows(6)}
+    TORUS / DIM4_SHORT / DIM4_LONG nonempty, and its points have exactly the
+    8 vanishing sets of the root lines."""
+    rows = list(lattice_rows(6))
+    dims = {row[3] for row in rows}
     assert dims <= {2, 4, 14}, f"unexpected stabilizer dims {dims - {2, 4, 14}}"
+    masks, sets = {vanishing_mask(*row[:3]) for row in rows}, set(vanishing_sets())
+    assert masks == sets, f"radius-6 vanishing sets {sorted(masks)} are not {sorted(sets)}"
     counts = scan(6).counts
     assert counts["FULL"] == 1, f"FULL count {counts['FULL']} != 1"
     assert counts["DIM4_SHORT"] > 0, "no DIM4_SHORT points"
@@ -114,9 +104,9 @@ def check_04_root_system() -> str:
 
 def check_05_stabilizer_fingerprints() -> str:
     """Every DIM4 centralizer fingerprints as {derived 3, center 1} and every
-    TORUS one is abelian of dim 2: one classify per vanishing set of the
-    radius-6 ball, the point tallies from its census counts."""
-    for tau in _vanishing_representatives().values():
+    TORUS one is abelian of dim 2: one classify per vanishing set, the
+    point tallies from the radius-6 census counts."""
+    for tau in vanishing_sets().values():
         rep = classify(tau)
         s = rep.structure
         if rep.stabilizer_dim == 4:
@@ -255,11 +245,12 @@ def check_09_lie_algebra_integrity() -> str:
 
 def check_10_weyl_scaling_invariance() -> str:
     """Orbit type is stable under all 12 Weyl reflections, and type, dim,
-    structure and vanishing roots under each rescaling in SCALES, for one tau
-    per vanishing set.  Both map vanishing sets to vanishing sets, so this
-    covers every Cartan element (notes/decisions.md)."""
+    structure and vanishing roots under each rescaling in SCALES, for the
+    representative of each set in vanishing_sets().  Both map vanishing sets
+    to vanishing sets, so this covers every Cartan element
+    (notes/decisions.md)."""
     roots = root_system()
-    reps = _vanishing_representatives()
+    reps = vanishing_sets()
     summary = attrgetter("orbit_type", "stabilizer_dim", "structure", "vanishing")
     for tau in reps.values():
         rep = classify(tau)

@@ -66,10 +66,9 @@ class Derivation:
         return "Derivation(%r)" % (self.matrix,)
 
 
-@lru_cache(maxsize=1)
 def leibniz_system() -> Matrix:
     """The 512x64 constraint system whose kernel is the derivation algebra,
-    built once per process (a Matrix is immutable).
+    built anew on each call: check 1 is its one caller in the package.
 
     Unknowns are the matrix entries d[p][q] in row-major order (index
     8p + q).  Rows run over ordered basis pairs (i, j), eight coordinate
@@ -162,14 +161,13 @@ class G2AlgebraBasis:
     [D_i, D_j] = sum_k c[i][j][k] D_k exactly.
     """
 
-    __slots__ = ("basis", "structure_constants", "_pivots", "_rows", "_gram")
+    __slots__ = ("basis", "structure_constants", "_pivots", "_rows")
 
     def __init__(self, basis, structure_constants, pivots):
         self.basis = tuple(basis)
         self.structure_constants = structure_constants
         self._pivots = tuple(pivots)
         self._rows = _nonzeros(d.flat() for d in self.basis)
-        self._gram = None
 
     @property
     def dim(self) -> int:
@@ -200,12 +198,9 @@ class G2AlgebraBasis:
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form on the basis (symmetric), from the
         nonzero constants: tr(ad D_i ad D_j) = sum_kl c[i][k][l] c[j][l][k]."""
-        if self._gram is None:
-            c = self.structure_constants
-            nz = [[(k, l, v) for k, cik in enumerate(ci) for l, v in enumerate(cik) if v] for ci in c]
-            g = [[sum(v * cj[l][k] for k, l, v in nzi) for cj in c] for nzi in nz]
-            self._gram = Matrix.from_rows(g)
-        return self._gram
+        c = self.structure_constants
+        nz = [[(k, l, v) for k, cik in enumerate(ci) for l, v in enumerate(cik) if v] for ci in c]
+        return Matrix.from_rows([[sum(v * cj[l][k] for k, l, v in nzi) for cj in c] for nzi in nz])
 
 
 @lru_cache(maxsize=1)

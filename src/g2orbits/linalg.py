@@ -191,9 +191,6 @@ class _IntCoords:
     def coords(self) -> tuple:
         return tuple(Fraction(v, self.den) for v in self.num)
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented

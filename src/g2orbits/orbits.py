@@ -2,11 +2,12 @@
 
 The centralizer of a Cartan element is the Cartan subalgebra plus the root
 spaces of the roots vanishing on it, so classification is keyed by the
-vanishing roots (8 possible sets), and each set's stabilizer dimension is
-computed exactly once, from the exact rank of one representative's adjoint
-matrix t1 ad(H1) - t3 ad(H2), formed in the 14 coordinates (no 8x8 matrix
-is built here).  It is 14 (zero element), 4 (exactly one root pair
-vanishes) or 2 (generic); anything else aborts with InternalInvariantError.
+vanishing roots (the 8 sets of roots.vanishing_sets(), read off the root
+lines), and each set's stabilizer dimension is computed exactly once, from
+the exact rank of the adjoint matrix t1 ad(H1) - t3 ad(H2) of that set's
+representative, formed in the 14 coordinates (no 8x8 matrix is built
+here).  It is 14 (zero element), 4 (exactly one root pair vanishes) or 2
+(generic); anything else aborts with InternalInvariantError.
 The two 4-dimensional cases are distinguished by the Killing length class of
 the vanishing root pair, which is Weyl invariant.  Display labels for the two
 length classes are attached by classify's naming convention, since the
@@ -26,14 +27,7 @@ from functools import lru_cache
 from .derivations import G2_DIM, SubalgebraSummary, derivation_basis, subalgebra_structure
 from .errors import InternalInvariantError
 from .linalg import _Record, kernel_basis, rank
-from .roots import (
-    TAU_GENERIC,
-    _coerce_cartan,
-    cartan_adjoint,
-    roots_in,
-    vanishing_mask,
-    vanishing_roots,
-)
+from .roots import _coerce_cartan, cartan_adjoint, roots_in, vanishing_mask, vanishing_sets
 
 
 class OrbitType(enum.Enum):
@@ -92,28 +86,13 @@ def centralizer(tau):
     return kernel_basis(cartan_adjoint(tau))
 
 
-def _representative(van: tuple):
-    """A tau on which exactly the roots van vanish: the generic element,
-    zero, or (1,1,1) x a for a pair with coefficients a."""
-    if not van:
-        rep = TAU_GENERIC
-    elif len(van) == 12:
-        rep = (0, 0, 0)
-    else:
-        a1, a2, a3 = van[0].coeffs
-        rep = (a3 - a2, a1 - a3, a2 - a1)
-    if vanishing_roots(rep) != van:
-        raise InternalInvariantError(f"no representative for vanishing roots {[r.coeffs for r in van]}")
-    return rep
-
-
 @lru_cache
 def _stabilizer(mask: int):
     """(stabilizer_dim, orbit_type) of every tau on which exactly the roots
-    in mask vanish, from the exact rank of the adjoint matrix of one such
-    representative."""
+    in mask vanish, from the exact rank of the adjoint matrix of that set's
+    representative in vanishing_sets()."""
     van = roots_in(mask)
-    dim = G2_DIM - rank(cartan_adjoint(_representative(van)))
+    dim = G2_DIM - rank(cartan_adjoint(vanishing_sets()[mask]))
     if dim not in (2, 4, 14) or dim != 2 + len(van):
         raise InternalInvariantError(f"stabilizer dimension {dim} with {len(van)} vanishing roots")
     if dim == 14:
@@ -135,14 +114,14 @@ def _structure(mask: int) -> SubalgebraSummary:
     and types alone, pays for neither the centralizer basis nor its 196
     brackets for FULL.
     """
-    return subalgebra_structure(centralizer(_representative(roots_in(mask))), derivation_basis())
+    return subalgebra_structure(centralizer(vanishing_sets()[mask]), derivation_basis())
 
 
 def classify(tau, convention: str = CONVENTION_DEFAULT) -> ClassificationReport:
     """Full orbit-type report for a Cartan element, keyed by its vanishing
     roots in root_system(): the stabilizer dimension and the structure
-    fingerprint of each of the 8 vanishing sets are computed once, from one
-    representative.
+    fingerprint of each of the 8 vanishing sets are computed once, from its
+    representative in vanishing_sets().
 
     Raises SumNonzeroError for bad input and InternalInvariantError if the
     stabilizer dimension falls outside {2, 4, 14} (that would contradict

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .derivations import G2_DIM, Derivation, derivation_basis
 from .errors import InternalInvariantError, NotInSpanError, SumNonzeroError
@@ -191,7 +191,8 @@ def root_system():
     -B(H, H) and its coroot 2H/B(H, H)."""
     degrees = derivation_basis().degrees  # even degrees first in each block
     blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
-    parts = [[_restricted(m, idx) for m in (*_cartan_ad(), cartan_adjoint(TAU_GENERIC))] for idx in blocks]
+    ads = (*_cartan_ad(), cartan_adjoint(TAU_GENERIC))  # ad(H1), ad(H2), ad(H*)
+    parts = [[_restricted(m, idx) for m in ads] for idx in blocks]
 
     zero_dim = G2_DIM - sum(rank(star) for _, _, star in parts)
     if zero_dim != 2:
@@ -213,8 +214,7 @@ def root_system():
     if len(raw) + zero_dim != G2_DIM:
         raise InternalInvariantError(f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra")
 
-    ads = _cartan_ad()
-    (g11, g12), (g21, g22) = [[(x * y).trace() for y in ads] for x in ads]
+    (g11, g12), (g21, g22) = [[(x * y).trace() for y in ads[:2]] for x in ads[:2]]
     d = g11 * g22 - g12 * g21
     if not d:
         raise InternalInvariantError("Killing Gram matrix is singular")
@@ -247,6 +247,34 @@ def vanishing_mask(t1: int, t2: int, t3: int) -> int:
 def roots_in(mask: int) -> tuple:
     """The roots of root_system() whose bits are set in mask, in order."""
     return tuple([r for i, r in enumerate(root_system()) if mask >> i & 1])
+
+
+@lru_cache(maxsize=1)
+def vanishing_sets() -> dict:
+    """Every vanishing set, as {vanishing_mask: an integer CartanElement on
+    which exactly those roots vanish}, read off the root lines.
+
+    The root with coefficients a vanishes on the line through
+    (a3 - a2, a1 - a3, a2 - a1).  The 12 roots must lie 2 to a line on 6
+    distinct lines, which meet only at 0, so the roots vanishing on a tau
+    are none, one line's pair or all 12: 1 + 6 + 1 = 8 sets, represented
+    by TAU_GENERIC, each line's direction and 0 (notes/decisions.md).
+    """
+    lines = {}  # primitive direction up to sign -> [its roots' mask, the first root's direction]
+    for i, r in enumerate(root_system()):
+        a1, a2, a3 = r.coeffs
+        d = (a3 - a2, a1 - a3, a2 - a1)  # nonzero: a root is no multiple of (1, 1, 1)
+        g = gcd(*d)
+        d = tuple(x // g for x in d)
+        lines.setdefault(max(d, tuple(-x for x in d)), [0, d])[0] |= 1 << i
+    if len(lines) != 6 or any(mask.bit_count() != 2 for mask, _ in lines.values()):
+        raise InternalInvariantError(f"the roots lie on {len(lines)} lines, not 2 to a line on 6")
+    reps = {0: TAU_GENERIC, **dict(lines.values()), (1 << len(root_system())) - 1: (0, 0, 0)}
+    sets = {mask: CartanElement(tau) for mask, tau in reps.items()}
+    wrong = [tau.num for mask, tau in sets.items() if vanishing_mask(*tau.num) != mask]
+    if wrong:
+        raise InternalInvariantError(f"representatives {wrong} do not have their set's vanishing roots")
+    return sets
 
 
 def vanishing_roots(tau):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2orbits import cayley, checks, derivations, linalg, orbits
-from g2orbits.cayley import MULT_TABLE, Octonion, _product, gamma, gamma1, inner
+from g2orbits.cayley import MULT_TABLE, Octonion, _product
 from g2orbits.derivations import (
     G2AlgebraBasis,
     SubalgebraSummary,
@@ -29,9 +29,10 @@ from g2orbits.derivations import (
     exp_derivation_numeric,
 )
 from g2orbits.linalg import Matrix
-from g2orbits.orbits import OrbitType, classify
-from g2orbits.roots import CartanElement, roots_in, root_system, vanishing_mask, weyl_reflect
+from g2orbits.orbits import OrbitType, classify, lattice_rows
+from g2orbits.roots import CartanElement, roots_in, root_system, vanishing_mask, vanishing_sets, weyl_reflect
 from matrices import det, difference, row_lists, scaled
+from octonions import conj, gamma, gamma1, inner
 from test_derivations import bracket, killing_form
 
 
@@ -98,6 +99,18 @@ def last_line_of(code):
     return out.stdout.splitlines()[-1]
 
 
+#: run code in a fresh interpreter and print how many times it built the
+#: Leibniz system, counted by a profile hook on the function's code object
+LEIBNIZ_BUILDS = """\
+import sys
+from g2orbits import derivations
+builds, target = [], derivations.leibniz_system.__code__
+sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is target and builds.append(1))
+{code}
+sys.setprofile(None)
+print(len(builds))"""
+
+
 class TestCheck01:
     def test_detail_is_fixed(self):
         # no wall time in the PASS line, so `check` stdout is reproducible
@@ -130,13 +143,9 @@ class TestCheck01:
         assert checks.check_01_derivation_dimension() == "nullity 14, rank 50, kernel within the 5s budget"
 
     def test_one_leibniz_build_per_process(self):
-        # check 1 is the one caller of the cached system
-        code = (
-            "from g2orbits import checks, derivations\n"
-            "checks.run_all(out=lambda line: None)\n"
-            "print(derivations.leibniz_system.cache_info().misses)"
-        )
-        assert last_line_of(code) == "1"
+        # check 1 is the one caller of the system, which is built on each call
+        code = "from g2orbits import checks\nchecks.run_all(out=lambda line: None)"
+        assert last_line_of(LEIBNIZ_BUILDS.format(code=code)) == "1"
 
     def test_one_elimination_of_512_rows_per_process(self):
         # derivation_basis() eliminates the eight 64x8 graded blocks, so
@@ -204,7 +213,7 @@ def cayley_laws_on_octonions() -> str:
         assert x * xy == xx * y, "left alternativity fails"
         assert (y * x) * x == y * xx, "right alternativity fails"
         assert inner(xy, xy) == inner(x, x) * inner(y, y), "composition fails"
-        assert xy.conj() == y.conj() * x.conj(), "anti-automorphism fails"
+        assert conj(xy) == conj(y) * conj(x), "anti-automorphism fails"
         assert gamma(gamma(x)) == x and gamma1(gamma1(x)) == x, "involution fails"
     involutions_multiplicative_on_octonions()
     return SAMPLED_DETAIL
@@ -557,6 +566,19 @@ def weyl_scaling_on_random_tau() -> str:
     return SAMPLED_WEYL_DETAIL
 
 
+def vanishing_representatives_in_ball() -> dict:
+    """Checks 5 and 10's representatives before the root lines gave them:
+    the first point of the radius-6 ball with each vanishing set, keyed by
+    its vanishing_mask."""
+    reps = {}
+    for t1, t2, t3, _, _ in lattice_rows(6):
+        mask = vanishing_mask(t1, t2, t3)
+        if mask not in reps:
+            reps[mask] = CartanElement.of(t1, t2, t3)
+    assert len(reps) == 8, f"{len(reps)} vanishing sets in the radius-6 ball, not 8"
+    return reps
+
+
 #: the vanishing set of the short pair (0,1,0)/(1,0,1), which the 50 random
 #: tau of the old check 10 never reached
 SHORT_PAIR = vanishing_mask(-1, 0, 1)
@@ -572,10 +594,16 @@ class TestOrbitChecksOnVanishingSets:
     }
 
     def test_one_representative_per_vanishing_set(self):
-        reps = checks._vanishing_representatives()
+        reps = vanishing_sets()
         assert len(reps) == 8
-        assert reps[SHORT_PAIR] == CartanElement.of(-6, 0, 6)
+        assert reps[SHORT_PAIR] == CartanElement.of(-1, 0, 1)
         assert all(vanishing_mask(*tau.num) == mask for mask, tau in reps.items())
+
+    def test_the_ball_search_finds_the_same_sets(self):
+        # the search checks 5 and 10 ran on before the root lines replaced it
+        balls = vanishing_representatives_in_ball()
+        assert set(balls) == set(vanishing_sets())
+        assert balls[SHORT_PAIR] == CartanElement.of(-6, 0, 6)
 
     @pytest.mark.parametrize("check", list(DETAILS), ids=lambda f: f.__name__[:8])
     def test_makes_no_random_draw(self, monkeypatch, check):
@@ -599,11 +627,19 @@ class TestOrbitChecksOnVanishingSets:
         assert len(calls) == expected
 
     def test_checks_5_and_10_share_one_search(self):
-        checks._vanishing_representatives.cache_clear()
+        checks.check_05_stabilizer_fingerprints()  # fills the orbit-type memos
+        vanishing_sets.cache_clear()
         checks.check_05_stabilizer_fingerprints()
         checks.check_10_weyl_scaling_invariance()
-        info = checks._vanishing_representatives.cache_info()
+        info = vanishing_sets.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
+    def test_a_ninth_set_in_the_ball_fails_check_2(self, monkeypatch):
+        # drop the short pair (0,1,0)/(1,0,1) from the root lines' sets
+        sets = {mask: tau for mask, tau in vanishing_sets().items() if mask != SHORT_PAIR}
+        monkeypatch.setattr(checks, "vanishing_sets", lambda: sets)
+        with pytest.raises(AssertionError, match="radius-6 vanishing sets"):
+            checks.check_02_four_orbit_types()
 
     def test_scales_are_nonzero_and_of_every_kind(self):
         assert 0 not in checks.SCALES
@@ -726,10 +762,12 @@ class TestCheck11:
 
 def patched_basis(monkeypatch, structure=None, gram=None):
     """Make check 9 see the canonical basis with its structure constants
-    or its Killing Gram matrix replaced."""
+    or its Killing Gram matrix replaced; the Gram matrix stays the true one
+    unless gram is given."""
     b = derivation_basis()
     patched = G2AlgebraBasis(b.basis, structure or b.structure_constants, b._pivots)
-    patched._gram = gram or b.killing_gram()
+    gram = gram or b.killing_gram()
+    monkeypatch.setattr(G2AlgebraBasis, "killing_gram", lambda self: gram)
     monkeypatch.setattr(checks, "derivation_basis", lambda: patched)
 
 
@@ -869,8 +907,6 @@ def test_check_09_forms_no_bracket_and_no_killing_form(monkeypatch):
     # a Killing form of 8x8 derivations needs their adjoint matrices, so it
     # reads coordinates off the basis: forbid the read-off (the package has
     # no 8x8 bracket left to forbid)
-    derivation_basis().killing_gram()
-
     def forbidden(*args):
         raise AssertionError("check 9 formed an 8x8 bracket or a Killing form of derivations")
 

@@ -14,7 +14,7 @@ from g2orbits.cayley import Octonion
 from g2orbits.cli import main
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
 from g2orbits.orbits import Census
-from test_checks import last_line_of
+from test_checks import LEIBNIZ_BUILDS, last_line_of
 
 
 def run_cli(capsys, *argv):
@@ -68,12 +68,8 @@ class TestClassifyCommand:
     def test_a_cold_classify_builds_no_leibniz_system(self):
         # the basis comes from the graded blocks; the 512x64 system is
         # check 1's alone
-        code = (
-            "from g2orbits import cli, derivations\n"
-            'cli.main(["classify", "--tau=1,0,-1", "--json"])\n'
-            "print(derivations.leibniz_system.cache_info().misses)"
-        )
-        assert last_line_of(code) == "0"
+        code = 'from g2orbits import cli\ncli.main(["classify", "--tau=1,0,-1", "--json"])'
+        assert last_line_of(LEIBNIZ_BUILDS.format(code=code)) == "0"
 
     def test_text_report(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--tau", "0,0,0")

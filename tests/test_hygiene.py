@@ -326,11 +326,25 @@ def test_detector_sees_json_imported():
     assert _heavy_loaded_after(code, ("json",)) == ["json"]
 
 
+def _definitions(source: str) -> list:
+    """Top-level functions and classes of source, and the methods of its
+    classes other than dunder methods, as "Class.method"."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{n.name}" for n in node.body
+                if isinstance(n, ast.FunctionDef) and not (n.name.startswith("__") and n.name.endswith("__"))
+            ]
+    return found
+
+
 def _unreferenced_definitions(source: str, others) -> list:
-    """Top-level functions and classes that source defines and that neither
-    it nor any of the sources others names: by bare name, as an attribute
-    or in a from-import."""
-    defined = [n.name for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    """The definitions of source (see _definitions) that neither it nor any
+    of the sources others names: by bare name, as an attribute or in a
+    from-import."""
     used = set()
     for tree in map(ast.parse, [source, *others]):
         for node in ast.walk(tree):
@@ -340,7 +354,7 @@ def _unreferenced_definitions(source: str, others) -> list:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return sorted(set(defined) - used)
+    return sorted(d for d in _definitions(source) if d.rpartition(".")[2] not in used)
 
 
 def test_detector_sees_an_unreferenced_definition():
@@ -349,11 +363,37 @@ def test_detector_sees_an_unreferenced_definition():
     assert _unreferenced_definitions(module, others) == ["b", "e"]
 
 
-def test_linalg_defines_only_what_the_package_uses():
-    # an entry point only tests call belongs in the tests (tests/matrices.py);
-    # an export from __init__ alone is not a use
-    others = [p.read_text() for p in MODULES if p.name != "linalg.py"]
-    assert _unreferenced_definitions((SRC / "linalg.py").read_text(), others) == []
+def test_detector_sees_an_unused_method():
+    module = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.x = self._used()\n"
+        "    def _used(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return 2\n"
+        "    @classmethod\n"
+        "    def made(cls):\n"
+        "        return cls()\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 3\n"
+    )
+    others = ["y = m.C.made().size\n"]
+    assert _unreferenced_definitions(module, others) == ["C.unused"]
+    assert _unreferenced_definitions(module, []) == ["C", "C.made", "C.size", "C.unused"]
+
+
+# a name is in use if its own module, another package module or a benchmark
+# script names it; an export from __init__ alone is not a use, and an entry
+# point only tests call belongs in the tests (tests/matrices.py, tests/octonions.py)
+BENCH_SCRIPTS = sorted(p for p in (SRC.parent.parent / "bench").glob("*.py") if p.name != "test_bench.py")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_has_a_caller(path):
+    others = [p.read_text() for p in [*MODULES, *BENCH_SCRIPTS] if p != path]
+    assert _unreferenced_definitions(path.read_text(), others) == []
 
 
 def _unbounded_caches(namespace) -> list:

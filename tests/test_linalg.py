@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2orbits import checks, linalg
+from g2orbits import linalg
 from g2orbits.cayley import Octonion, gamma_matrix
 from g2orbits.derivations import derivation_basis, fixed_subalgebra, leibniz_system, stabilizer_subalgebra
 from g2orbits.linalg import Matrix, _rref_rows, kernel_basis, rank
-from g2orbits.orbits import _representative, centralizer
-from g2orbits.roots import CartanElement, cartan_adjoint, vanishing_roots
+from g2orbits.orbits import centralizer
+from g2orbits.roots import CartanElement, cartan_adjoint, vanishing_sets
 from matrices import det, identity, row_lists, rref, solve
-from test_derivations import one_tau_per_vanishing_set
 
 
 def F(n, d=1):
@@ -259,7 +258,7 @@ class TestRepeatedRows:
         assert [type(v) for v in red_big.entries] == [int, int, Fraction, int, int, Fraction] + [int] * 6
 
     def test_leibniz_kernel_clears_each_distinct_row_once(self, monkeypatch):
-        from g2orbits import checks, linalg
+        from g2orbits import linalg
         from g2orbits.derivations import leibniz_system
 
         system = leibniz_system()
@@ -433,9 +432,7 @@ class TestOneElimination:
         assert typed(kernel_basis(a)) == typed(two_pass_kernel(a)) == typed(identity)
 
     def test_package_systems(self):
-        systems = [leibniz_system()] + [
-            cartan_adjoint(_representative(vanishing_roots(tau))) for tau in one_tau_per_vanishing_set()
-        ]
+        systems = [leibniz_system()] + [cartan_adjoint(tau) for tau in vanishing_sets().values()]
         for a in systems:
             assert typed(kernel_basis(a)) == typed(two_pass_kernel(a))
 
@@ -530,7 +527,7 @@ class TestSparseElimination:
         assert_same_elimination(rows)
 
     def test_package_systems(self):
-        systems = [leibniz_system()] + [cartan_adjoint(tau) for tau in checks._vanishing_representatives().values()]
+        systems = [leibniz_system()] + [cartan_adjoint(tau) for tau in vanishing_sets().values()]
         for a in systems:
             assert_same_elimination([list(linalg._cleared(row)[1]) for row in row_lists(a)])
 

@@ -15,7 +15,17 @@ from g2orbits.orbits import (
     lattice_rows,
     scan,
 )
-from g2orbits.roots import CartanElement, Root, cartan_basis, root_system, weyl_reflect
+from g2orbits.roots import (
+    TAU_GENERIC,
+    CartanElement,
+    Root,
+    cartan_basis,
+    root_system,
+    roots_in,
+    vanishing_roots,
+    vanishing_sets,
+    weyl_reflect,
+)
 from test_derivations import bracket, is_zero_derivation
 
 
@@ -260,6 +270,26 @@ def exact_report(tau):
         assert len(van) == 2 and len(classes) == 1, van
         orbit_type = OrbitType.DIM4_SHORT if classes == {"short"} else OrbitType.DIM4_LONG
     return len(cent), orbit_type, subalgebra_structure(cent, b), van
+
+
+def representative_by_cases(van: tuple) -> tuple:
+    """The memo's representative of the vanishing set van before
+    vanishing_sets() read them off the root lines: the generic element,
+    zero, or (1,1,1) x a for a pair with coefficients a."""
+    if not van:
+        rep = TAU_GENERIC
+    elif len(van) == 12:
+        rep = (0, 0, 0)
+    else:
+        a1, a2, a3 = van[0].coeffs
+        rep = (a3 - a2, a1 - a3, a2 - a1)
+    assert vanishing_roots(rep) == van, f"no representative for vanishing roots {[r.coeffs for r in van]}"
+    return rep
+
+
+def test_vanishing_sets_are_the_case_split_representatives():
+    sets = vanishing_sets()
+    assert {mask: CartanElement(representative_by_cases(roots_in(mask))) for mask in sets} == sets
 
 
 class TestVanishingSetMemo:

@@ -17,6 +17,7 @@ from g2orbits.roots import (
     TAU_H1,
     TAU_H2,
     CartanElement,
+    Root,
     _cartan_ad,
     canonical_root_coeffs,
     cartan_adjoint,
@@ -26,6 +27,7 @@ from g2orbits.roots import (
     roots_in,
     vanishing_mask,
     vanishing_roots,
+    vanishing_sets,
     weyl_reflect,
 )
 from matrices import identity, row_lists, scaled, sympy_solve
@@ -116,7 +118,7 @@ class TestCartanElement:
                 CartanElement(tau)
 
     def test_zero(self):
-        assert CartanElement.of(0, 0, 0).is_zero()
+        assert CartanElement.of(0, 0, 0).num == (0, 0, 0)
 
     def test_scaled(self):
         assert CartanElement.of(1, 0, -1).scaled(F(3, 2)) == CartanElement.of(F(3, 2), 0, F(-3, 2))
@@ -156,7 +158,7 @@ class TestStoredLikeOctonions:
         assert repr(CartanElement.of(1, 0, -1)) == "CartanElement(1, 0, -1)"
         assert repr(CartanElement.of(F(1, 2), F(1, 2), -1)) == "CartanElement(1/2, 1/2, -1)"
         assert CartanElement.of(0, 0, 0).scaled(F(5, 7)) == CartanElement.of(0, 0, 0)
-        assert CartanElement.of(F(1, 2), 0, F(-1, 2)).scaled(0).is_zero()
+        assert CartanElement.of(F(1, 2), 0, F(-1, 2)).scaled(0).num == (0, 0, 0)
 
     def test_rational_tau_needs_no_fraction_in_roots(self, monkeypatch):
         taus = [
@@ -413,6 +415,15 @@ class TestRootSystem:
         for ad in _cartan_ad():
             assert all(ad.entry(k, j) == 0 for k in range(14) for j in range(14) if (k, j) not in inside)
 
+    def test_one_generic_adjoint_per_build(self, monkeypatch):
+        # ad(H*) is formed once and restricted to every graded block
+        expected = repr(root_system())
+        calls = []
+        adjoint = roots.cartan_adjoint
+        monkeypatch.setattr(roots, "cartan_adjoint", lambda tau: calls.append(tau) or adjoint(tau))
+        assert repr(roots.root_system.__wrapped__()) == expected  # uncached
+        assert calls == [TAU_GENERIC]
+
     def test_a_leak_out_of_a_block_aborts(self, monkeypatch):
         ad1, ad2 = _cartan_ad()
         entries = list(ad1.entries)
@@ -501,7 +512,7 @@ class TestVanishingRoots:
             n = len(vanishing_roots(tau))
             assert n in (0, 2, 12)
             if n == 12:
-                assert tau.is_zero()
+                assert not any(tau.num)
 
     @oracle_settings
     @given(rational_taus())
@@ -539,6 +550,60 @@ class TestVanishingRoots:
                     [[F(a) for a in r.coeffs], [F(a) for a in rp.coeffs], list(ones)]
                 )
                 assert rank(m) == 3
+
+
+#: the mask of the short pair (0,1,0)/(1,0,1)
+SHORT_PAIR = vanishing_mask(1, 0, -1)
+
+
+def roots_with(coeffs: dict) -> tuple:
+    """root_system() with the coefficients of some roots replaced, by
+    {old: new}."""
+    return tuple(
+        Root(coeffs.get(r.coeffs, r.coeffs), r.killing_sq_length, r.length_class, r.coroot) for r in root_system()
+    )
+
+
+class TestVanishingSets:
+    """The 8 vanishing sets, read off the 6 root lines."""
+
+    def test_six_pairs_zero_and_none(self):
+        sets = vanishing_sets()
+        masks = sorted(sets)
+        assert len(masks) == 8 and masks[0] == 0 and masks[-1] == 2**12 - 1
+        pairs = [roots_in(m) for m in masks[1:-1]]
+        assert all(len(p) == 2 and p[0].length_class == p[1].length_class for p in pairs)
+        assert sorted(r.coeffs for p in pairs for r in p) == [r.coeffs for r in root_system()]
+        assert all(tau.den == 1 for tau in sets.values())
+        assert sets[0] == CartanElement(TAU_GENERIC) and sets[SHORT_PAIR] == CartanElement.of(-1, 0, 1)
+
+    @oracle_settings
+    @given(rational_taus())
+    def test_every_tau_has_one_of_the_sets(self, tau):
+        mask = vanishing_mask(*tau.num)
+        assert mask in vanishing_sets()
+        assert roots_in(mask) == vanishing_by_fractions(tau)
+        assert classify(tau).orbit_type == classify(vanishing_sets()[mask]).orbit_type
+
+    @pytest.mark.parametrize("moved", [(0, 2, 0), (0, 3, 0)], ids=["twice", "three_times"])
+    def test_two_pairs_on_one_line_raise(self, monkeypatch, moved):
+        # the long pair moved onto the short pair's line, as a multiple of it
+        a1, a2, a3 = moved
+        other = canonical_root_coeffs((-a1, -a2, -a3))
+        monkeypatch.setattr(roots, "root_system", lambda: roots_with({(0, 1, 2): moved, (2, 1, 0): other}))
+        with pytest.raises(InternalInvariantError, match="lie on 5 lines"):
+            vanishing_sets.__wrapped__()
+
+    def test_a_root_off_its_pair_raises(self, monkeypatch):
+        # (0,1,2) moved onto the line of (0,1,0): that line holds 3 roots
+        monkeypatch.setattr(roots, "root_system", lambda: roots_with({(0, 1, 2): (0, 2, 0)}))
+        with pytest.raises(InternalInvariantError, match="not 2 to a line on 6"):
+            vanishing_sets.__wrapped__()
+
+    def test_a_representative_off_its_set_raises(self, monkeypatch):
+        monkeypatch.setattr(roots, "TAU_GENERIC", (1, 0, -1))
+        with pytest.raises(InternalInvariantError, match=r"representatives \[\(1, 0, -1\)\]"):
+            vanishing_sets.__wrapped__()
 
 
 def coroot_by_standard_form(root):
