@@ -48,7 +48,6 @@ from .roots import (
     CartanElement,
     Root,
     canonical_root_coeffs,
-    cartan_basis,
     cartan_element,
     root_system,
     vanishing_roots,
@@ -77,7 +76,6 @@ __all__ = [
     "SumNonzeroError",
     "adjoint_matrix",
     "canonical_root_coeffs",
-    "cartan_basis",
     "cartan_element",
     "centralizer",
     "classify",

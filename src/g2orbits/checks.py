@@ -22,7 +22,7 @@ from . import cayley
 from .cayley import Octonion, from_complex_model, gamma1_matrix, gamma_matrix, to_complex_model
 from .derivations import (derivation_basis, exp_derivation_numeric, fixed_subalgebra, leibniz_system,
                           stabilizer_subalgebra, subalgebra_structure)
-from .linalg import Matrix, rank
+from .linalg import rank
 from .orbits import classify, lattice_rows, scan
 from .roots import (TAU_H1, TAU_H2, CartanElement, canonical_root_coeffs, root_system, vanishing_mask, vanishing_sets,
                     weyl_reflect)
@@ -231,15 +231,24 @@ def check_09_lie_algebra_integrity() -> str:
                             acc[m] += v * w
                 assert not any(acc), f"Jacobi fails at ({i},{j},{k})"
     gram = b.killing_gram()
-    assert gram == gram.transpose(), "Killing Gram matrix not symmetric"
-    a, prev = [[-v for v in gram.row(i)] for i in range(n)], 1  # Bareiss, no row swaps: the pivots are the minors
+    g = [gram.row(i) for i in range(n)]
+    assert g == list(zip(*g)), "Killing Gram matrix not symmetric"
+    a, prev = [[-v for v in row] for row in g], 1  # Bareiss, no row swaps: the pivots are the minors
     for k, top in enumerate(a):
         assert top[k] > 0, f"leading minor {k + 1} of -B not positive"
         a[k + 1 :] = [[(v * top[k] - row[k] * w) // prev for v, w in zip(row, top)] for row in a[k + 1 :]]
         prev = top[k]
-    for k in range(n):
-        t = Matrix.from_rows(c[k]) * gram
-        assert (t + t.transpose()).is_zero(), f"Killing form not ad-invariant under D_{k}"
+    grows = [[(j, v) for j, v in enumerate(row) if v] for row in g]  # the nonzero G[l][j]
+    for k, nzk in enumerate(nz):
+        t = [[0] * n for _ in range(n)]  # T[i] = sum_l c[k][i][l] G[l]
+        for ti, nzki in zip(t, nzk):
+            for l, v in nzki:
+                for j, w in grows[l]:
+                    ti[j] += v * w
+        # row i of T plus column i of T is 0: T[i][j] = -T[j][i] for all j
+        assert not any(any(map(add, ti, col)) for ti, col in zip(t, zip(*t))), (
+            f"Killing form not ad-invariant under D_{k}"
+        )
     return "Jacobi exact, -B positive definite (14 minors), ad-invariance on all basis triples (trilinear form)"
 
 

@@ -12,7 +12,7 @@ the current column, sweeping columns left to right, so equal inputs
 produce bit-for-bit equal outputs.  Kernel bases are canonical (the unique
 reduced echelon basis of the null space, leading entries 1) and read off
 one elimination of the reversed columns; a dimension is a rank.
-Products, traces and matrix-vector products of int matrices stay int.
+Matrix-vector products of int matrices stay int.
 :class:`_IntCoords`, int numerators over one denominator, stores
 octonions (both models) and Cartan triples; :class:`_Record` is the
 package's one immutable record base.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, attrgetter
+from operator import attrgetter
 
 
 # bound on a rational string's decimal exponent, checked before Fraction
@@ -84,13 +84,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def apply(self, vec) -> tuple:
         """Matrix-vector product M @ v."""
         if len(vec) != self.cols:
@@ -107,42 +100,6 @@ class Matrix:
                     acc += m * vec[j]
             out.append(acc)
         return tuple(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("inner dimension mismatch")
-            n, p = self.cols, other.cols
-            a, b = self.entries, other.entries
-            out = [0] * (self.rows * p)
-            for i in range(self.rows):
-                abase = i * n
-                obase = i * p
-                for k in range(n):
-                    aik = a[abase + k]
-                    if aik:
-                        bbase = k * p
-                        for j in range(p):
-                            bkj = b[bbase + j]
-                            if bkj:
-                                out[obase + j] = out[obase + j] + aik * bkj
-            return Matrix(self.rows, p, out)
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, list(map(add, self.entries, other.entries)))
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def trace(self) -> int | Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -2,12 +2,14 @@
 
 The Cartan subalgebra is the rank-2 space of derivations that act on the
 complex-model vector part as i*diag(t1, t2, t3) with t1+t2+t3 = 0 (and kill
-the scalar part).  Only its generators H1, H2 are built as 8x8 matrices,
-each read off the derivation basis once; every other Cartan element enters
-as ad(tau) = t1 ad(H1) - t3 ad(H2) in the 14 coordinates.  Each root pair
-acts on a real plane of the algebra, on which ad(H)^2 = -alpha(H)^2; the
-roots are read off exact 2x2 kernels of ad(H*)^2 + v^2 on the Z2^3-graded
-blocks, for a generic H*: no complex scalars, no floats.
+the scalar part), the degree-1 part of the Z2^3 grading of the basis.
+Only its generators H1, H2 are built as 8x8 matrices, each read off the
+derivation basis once, and only their adjoints are kept; every other
+Cartan element enters as ad(tau) = t1 ad(H1) - t3 ad(H2) in the 14
+coordinates.  Each root pair acts on a real plane of the algebra, on which
+ad(H)^2 = -alpha(H)^2.  ad(H) swaps each even degree g with g^1 through
+2x2 maps, so for a generic H* the roots are read off the exact 2x2
+kernels of ad(H*)^2 + v^2 on degree g: no complex scalars, no floats.
 Squared root lengths are measured in the positive-definite form -B (B is
 the Killing form, negative definite here), so "short" is the minimum.
 Each root carries its coroot 2H/B(H, H), H its Killing dual, from the
@@ -83,24 +85,6 @@ def _rotation_matrix(tau) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def cartan_basis():
-    """The two commuting Cartan generators H1 (tau=(1,-1,0)) and H2
-    (tau=(0,1,-1)) as verified derivations: each must lie in the span of
-    derivation_basis(), which is exactly the kernel of the Leibniz system."""
-    h1 = Derivation(_rotation_matrix(TAU_H1))
-    h2 = Derivation(_rotation_matrix(TAU_H2))
-    b = derivation_basis()
-    for h in (h1, h2):
-        try:
-            b.coordinates(h)
-        except NotInSpanError:
-            raise InternalInvariantError(
-                "Cartan generator fails the Leibniz check; "
-                "sign conventions are out of sync with the product table"
-            ) from None
-    return h1, h2
-
-
 def cartan_element(tau) -> Derivation:
     """The derivation realizing a traceless triple (block rotation rates,
     ints where integral, so an integer tau gives an int matrix)."""
@@ -110,21 +94,33 @@ def cartan_element(tau) -> Derivation:
 
 @lru_cache(maxsize=1)
 def _cartan_ad() -> tuple:
-    """ad(H1) and ad(H2) as int matrices, read off derivation_basis() once."""
+    """ad(H1) and ad(H2) as int matrices, for the Cartan generators H1
+    (tau=(1,-1,0)) and H2 (tau=(0,1,-1)), each read off derivation_basis()
+    once.  The read-off is the check that each lies in its span, which is
+    exactly the kernel of the Leibniz system."""
     b = derivation_basis()
-    return tuple(b.ad(b.coordinates(h)) for h in cartan_basis())
+    try:
+        return tuple(b.ad(b.coordinates(Derivation(_rotation_matrix(t)))) for t in (TAU_H1, TAU_H2))
+    except NotInSpanError:
+        raise InternalInvariantError(
+            "Cartan generator fails the Leibniz check; "
+            "sign conventions are out of sync with the product table"
+        ) from None
 
 
 def cartan_adjoint(tau) -> Matrix:
     """The exact matrix of ad(cartan_element(tau)) in derivation_basis().
 
     tau = t1 H1 - t3 H2, so the matrix is t1 ad(H1) - t3 ad(H2), formed on
-    tau's int numerators over its den: an int wherever it is integral.
+    tau's int numerators and divided by its den only where that is not 1:
+    an int wherever it is integral.
     """
     tau = _coerce_cartan(tau)
     n1, _, n3 = tau.num
     ad1, ad2 = _cartan_ad()
-    entries = [_quotient(n1 * x - n3 * y, tau.den) for x, y in zip(ad1.entries, ad2.entries)]
+    entries = [n1 * x - n3 * y for x, y in zip(ad1.entries, ad2.entries)]
+    if tau.den != 1:
+        entries = [_quotient(v, tau.den) for v in entries]
     return Matrix(ad1.rows, ad1.cols, entries)
 
 
@@ -158,63 +154,59 @@ def canonical_root_coeffs(a) -> tuple:
     return tuple(int(d) for d in diffs)
 
 
-def _root_value(ad: Matrix, w, u, v: int) -> int:
-    """The integer r with ad w = (r/v) u, where u = ad(H*) w and w lies on
-    the root plane where ad(H*)^2 = -v^2; checked on every coordinate."""
-    adw = ad.apply(w)
-    k = next(i for i, x in enumerate(u) if x)
-    if any(x * u[k] != adw[k] * y for x, y in zip(adw, u)):
-        raise InternalInvariantError("root plane vector is not a joint eigenvector")
-    r, rest = divmod(adw[k] * v, u[k])
-    if rest:
-        raise InternalInvariantError(f"root value {Fraction(adw[k] * v, u[k])} is not an integer")
-    return r
-
-
-def _restricted(m: Matrix, idx) -> Matrix:
-    """m on the coordinates idx, whose span it must map into itself."""
-    if any(m.entry(k, j) for j in idx for k in range(m.rows) if k not in idx):
-        raise InternalInvariantError("ad(H) does not leave a graded block invariant")
-    return Matrix(len(idx), len(idx), [m.entry(k, j) for k in idx for j in idx])
-
-
 @lru_cache(maxsize=1)
 def root_system():
     """All 12 roots with exact Killing lengths and coroots, sorted by
     coefficients, computed once.  The Cartan is the degree-1 part of the
-    Z2^3 grading, so ad(H1) and ad(H2) must keep the blocks of degrees 2+3,
-    4+5 and 6+7, two root planes each.  On a block's even degree ad(H*)^2
-    is 2x2 with eigenvalues -a^2, -b^2 (a, b root values on H*), and the
-    kernel of ad(H*)^2 + v^2 there is a line of the root plane of value v.
-    One 2x2 Killing solve per root, by Cramer's rule on the Gram matrix
-    tr(ad H_i ad H_j) of (H1, H2), gives its dual H, hence both its length
-    -B(H, H) and its coroot 2H/B(H, H)."""
-    degrees = derivation_basis().degrees  # even degrees first in each block
-    blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
+    Z2^3 grading, so ad(H1), ad(H2) and ad(H*) (H* generic) must map each
+    degree g to g^1: every other entry is 0.  For an even degree g, A is
+    ad(H*) from g to g^1 and B from g^1 back, both 2x2, so ad(H*)^2 on g
+    is BA, with eigenvalues -p^2, -q^2 (p, q the values on H* of the two
+    roots whose planes meet g), and the kernel of BA + v^2 is a line of the
+    root plane of value v.  One 2x2 Killing solve per root, by Cramer's
+    rule on the Gram matrix tr(ad H_i ad H_j) of (H1, H2), gives its dual
+    H, hence both its length -B(H, H) and its coroot 2H/B(H, H)."""
+    degrees = derivation_basis().degrees
     ads = (*_cartan_ad(), cartan_adjoint(TAU_GENERIC))  # ad(H1), ad(H2), ad(H*)
-    parts = [[_restricted(m, idx) for m in ads] for idx in blocks]
+    nonzero = [[(divmod(i, G2_DIM), x) for i, x in enumerate(m.entries) if x] for m in ads]
+    if any(degrees[k] != degrees[j] ^ 1 for entries in nonzero for (k, j), _ in entries):
+        raise InternalInvariantError("ad(H) does not leave a graded block invariant")
+    star = ads[2]
 
-    zero_dim = G2_DIM - sum(rank(star) for _, _, star in parts)
+    zero_dim = G2_DIM - rank(star)
     if zero_dim != 2:
         raise InternalInvariantError(f"generic Cartan element has centralizer dimension {zero_dim}, expected 2")
 
     raw = []
-    for a1, a2, star in parts[1:]:
-        s00, s01, s10, s11 = _restricted(star * star, (0, 1)).entries
-        total = -(s00 + s11)  # a^2 + b^2
-        gap = isqrt(max(total * total - 4 * (s00 * s11 - s01 * s10), 0))  # |a^2 - b^2|
+    for g in range(2, 8, 2):
+        even, odd = ([i for i, d in enumerate(degrees) if d == h] for h in (g, g ^ 1))
+        a1, a2, a = ([[m.entry(k, j) for j in even] for k in odd] for m in ads)  # degree g to g^1
+        b = [[star.entry(k, j) for j in odd] for k in even]  # degree g^1 to g
+        s00, s01, s10, s11 = (b[i][0] * a[0][j] + b[i][1] * a[1][j] for i in (0, 1) for j in (0, 1))
+        total = -(s00 + s11)  # p^2 + q^2
+        gap = isqrt(max(total * total - 4 * (s00 * s11 - s01 * s10), 0))  # |p^2 - q^2|
         # a v that is no root value has no kernel: the fill check fails
         for v in {isqrt(max(x, 0)) for x in ((total + gap) // 2, (total - gap) // 2)}:
-            for line in kernel_basis(Matrix(2, 2, (s00 + v * v, s01, s10, s11 + v * v))):
-                w = (*line, 0, 0)
-                u = star.apply(w)
-                r1, r2 = (_root_value(m, w, u, v) for m in (a1, a2))
+            for w0, w1 in kernel_basis(Matrix(2, 2, (s00 + v * v, s01, s10, s11 + v * v))):
+                # the root values r_i, ad(H_i) w = (r_i / v) u for u = ad(H*) w, on every coordinate
+                u, *images = ([x * w0 + y * w1 for x, y in m] for m in (a, a1, a2))
+                k = next(i for i, x in enumerate(u) if x)
+                values = []
+                for image in images:
+                    if image[0] * u[1] != image[1] * u[0]:
+                        raise InternalInvariantError("root plane vector is not a joint eigenvector")
+                    r, rest = divmod(image[k] * v, u[k])
+                    if rest:
+                        raise InternalInvariantError(f"root value {Fraction(image[k] * v, u[k])} is not an integer")
+                    values.append(r)
+                r1, r2 = values
                 raw += [(canonical_root_coeffs((s * r1, 0, -s * r2)), s * r1, s * r2) for s in (1, -1)]
 
     if len(raw) + zero_dim != G2_DIM:
         raise InternalInvariantError(f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra")
 
-    (g11, g12), (g21, g22) = [[(x * y).trace() for y in ads[:2]] for x in ads[:2]]
+    # tr(XY) = sum over the nonzero X[k][l] of X[k][l] Y[l][k]
+    (g11, g12), (g21, g22) = [[sum(x * y.entry(l, k) for (k, l), x in xs) for y in ads[:2]] for xs in nonzero[:2]]
     d = g11 * g22 - g12 * g21
     if not d:
         raise InternalInvariantError("Killing Gram matrix is singular")

@@ -1,7 +1,7 @@
 """Exact matrix helpers that the tests need and the package does not.
 
-The identity, row lists, scalar multiples and differences of a
-``linalg.Matrix``; the reduced row echelon form and one solution of a
+The identity, row lists, transpose, trace, zero test, scalar multiples,
+sums, differences and products of a ``linalg.Matrix``; the reduced row echelon form and one solution of a
 linear system read off linalg's one elimination core, ``_rref_rows``; a
 Bareiss determinant, the form check 9 took its 14 leading minors with
 before one Bareiss pass replaced them; and sympy's exact ``Matrix`` as an
@@ -21,6 +21,19 @@ def row_lists(m: Matrix) -> list:
     return [list(m.row(i)) for i in range(m.rows)]
 
 
+def transpose(m: Matrix) -> Matrix:
+    return Matrix.from_rows(zip(*row_lists(m)))
+
+
+def trace(m: Matrix) -> int | Fraction:
+    assert m.rows == m.cols, "trace of non-square matrix"
+    return sum(m.entry(i, i) for i in range(m.rows))
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(m.entries)
+
+
 def scaled(m: Matrix, c) -> Matrix:
     """c m, entry by entry."""
     return Matrix(m.rows, m.cols, [c * v for v in m.entries])
@@ -30,6 +43,26 @@ def difference(a: Matrix, b: Matrix) -> Matrix:
     """a - b, entry by entry."""
     assert (a.rows, a.cols) == (b.rows, b.cols), "shape mismatch"
     return Matrix(a.rows, a.cols, [x - y for x, y in zip(a.entries, b.entries)])
+
+
+def matrix_sum(a: Matrix, b: Matrix) -> Matrix:
+    """a + b, entry by entry."""
+    assert (a.rows, a.cols) == (b.rows, b.cols), "shape mismatch"
+    return Matrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product a b, summing only products of nonzero entries,
+    so an entry with none stays the int 0."""
+    assert a.cols == b.rows, "inner dimension mismatch"
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i, row in enumerate(out):
+        for k, x in enumerate(a.row(i)):
+            if x:
+                for j, y in enumerate(b.row(k)):
+                    if y:
+                        row[j] += x * y
+    return Matrix.from_rows(out)
 
 
 def rref(m: Matrix) -> tuple:

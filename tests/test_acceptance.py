@@ -19,7 +19,7 @@ from g2orbits import checks
 from g2orbits.cayley import gamma1_matrix, gamma_matrix, is_automorphism_matrix
 from g2orbits.derivations import Derivation, derivation_basis, fixed_subalgebra, subalgebra_structure
 from g2orbits.linalg import Matrix, rank
-from matrices import identity
+from matrices import identity, product, transpose
 from test_derivations import satisfies_leibniz
 
 
@@ -82,13 +82,13 @@ def _involution_shadows() -> str:
     for j, (i, sign) in _CERTIFICATE.items():
         entries[8 * i + j] = sign
     g = Matrix(8, 8, entries)
-    gt = g.transpose()
+    gt = transpose(g)
     assert is_automorphism_matrix(g), "certificate g is not an automorphism"
-    assert g * gt == identity(8), "certificate g is not orthogonal"
-    assert g * gamma == gamma1 * g, "certificate g does not conjugate gamma into gamma1"
-    images = [Derivation(g * b.from_coordinates(v).matrix * gt) for v in fix]
+    assert product(g, gt) == identity(8), "certificate g is not orthogonal"
+    assert product(g, gamma) == product(gamma1, g), "certificate g does not conjugate gamma into gamma1"
+    images = [Derivation(product(product(g, b.from_coordinates(v).matrix), gt)) for v in fix]
     assert all(satisfies_leibniz(d) for d in images), "Ad(g) image is not a derivation"
-    assert all(gamma1 * d.matrix == d.matrix * gamma1 for d in images), (
+    assert all(product(gamma1, d.matrix) == product(d.matrix, gamma1) for d in images), (
         "Ad(g) image is not fixed by gamma1"
     )
     assert _span_rank(images) == 6, "Ad(g) images of Fix(gamma) do not span rank 6"

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import mul
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from g2orbits.cayley import (
     to_complex_model,
 )
 from g2orbits.linalg import Matrix, rank
-from matrices import identity, row_lists, scaled
+from matrices import identity, product, row_lists, scaled
 from octonions import add, conj, gamma, gamma1, inner, is_zero, neg, norm, scale, sub, zero
 from test_acceptance import _CERTIFICATE
 
@@ -283,7 +282,7 @@ automorphism_words = st.tuples(
     st.lists(st.sampled_from([m for m, auto in AUTOMORPHISM_CASES.values() if auto]), min_size=1, max_size=4),
     st.integers(0, 63),
     st.sampled_from([0, 0, 1, F(-1, 7)]),
-).map(lambda w: Matrix(8, 8, [v + w[2] * (n == w[1]) for n, v in enumerate(reduce(mul, w[0]).entries)]))
+).map(lambda w: Matrix(8, 8, [v + w[2] * (n == w[1]) for n, v in enumerate(reduce(product, w[0]).entries)]))
 
 
 class TestOneProductKernel:

@@ -31,7 +31,7 @@ from g2orbits.derivations import (
 from g2orbits.linalg import Matrix
 from g2orbits.orbits import OrbitType, classify, lattice_rows
 from g2orbits.roots import CartanElement, roots_in, root_system, vanishing_mask, vanishing_sets, weyl_reflect
-from matrices import det, difference, row_lists, scaled
+from matrices import det, difference, is_zero, matrix_sum, product, row_lists, scaled, transpose
 from octonions import conj, gamma, gamma1, inner
 from test_derivations import bracket, killing_form
 
@@ -788,7 +788,7 @@ def jacobi_by_ad_products(b):
     ad = [adjoint_matrix(d, b) for d in b.basis]
     for i in range(n):
         for j in range(i + 1, n):
-            assert b.ad(c[i][j]) == difference(ad[i] * ad[j], ad[j] * ad[i]), f"Jacobi fails at ({i},{j})"
+            assert b.ad(c[i][j]) == difference(product(ad[i], ad[j]), product(ad[j], ad[i])), f"Jacobi fails at ({i},{j})"
 
 
 def leading_minors_by_det(gram):
@@ -798,6 +798,52 @@ def leading_minors_by_det(gram):
     for k in range(1, gram.rows + 1):
         minor = Matrix(k, k, [neg.entry(i, j) for i in range(k) for j in range(k)])
         assert det(minor) > 0, f"leading minor {k} of -B not positive"
+
+
+def lie_algebra_integrity_by_products():
+    """Check 9 before its symmetry and ad-invariance halves ran on the
+    Gram's int rows: the Gram compared with its transpose, and for each k
+    the 14x14 product T = c[k] G tested by T + T^t = 0."""
+    b = checks.derivation_basis()
+    c = b.structure_constants
+    n = b.dim
+    nz = [[[(l, v) for l, v in enumerate(cij) if v] for cij in ci] for ci in c]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = [0] * n
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, v in nz[p][q]:
+                        for m, w in nz[l][r]:
+                            acc[m] += v * w
+                assert not any(acc), f"Jacobi fails at ({i},{j},{k})"
+    gram = b.killing_gram()
+    assert gram == transpose(gram), "Killing Gram matrix not symmetric"
+    a, prev = [[-v for v in gram.row(i)] for i in range(n)], 1
+    for k, top in enumerate(a):
+        assert top[k] > 0, f"leading minor {k + 1} of -B not positive"
+        a[k + 1 :] = [[(v * top[k] - row[k] * w) // prev for v, w in zip(row, top)] for row in a[k + 1 :]]
+        prev = top[k]
+    for k in range(n):
+        t = product(Matrix.from_rows(c[k]), gram)
+        assert is_zero(matrix_sum(t, transpose(t))), f"Killing form not ad-invariant under D_{k}"
+
+
+def failure_message(run) -> str | None:
+    """The first line of the AssertionError run() raises, or None."""
+    try:
+        run()
+    except AssertionError as exc:
+        return first_line(exc)
+    return None
+
+
+def one_sign_flipped(c, i, j, k):
+    """Structure constants with c[i][j][k] alone negated: its partner
+    c[j][i][k] keeps its sign, so the constants are no longer antisymmetric."""
+    rows = [[list(ck) for ck in ci] for ci in c]
+    rows[i][j][k] = -rows[i][j][k]
+    return tuple(tuple(tuple(ck) for ck in ci) for ci in rows)
 
 
 def minor_message(run) -> str | None:
@@ -879,6 +925,61 @@ class TestCheck09CatchesABrokenAlgebra:
         patched_basis(monkeypatch, gram=gram_with({(0, 13): -g.entry(0, 13)}))
         with pytest.raises(AssertionError):
             checks.check_09_lie_algebra_integrity()
+
+
+class TestCheck09RowForm:
+    """Symmetry and ad-invariance on the Gram's int rows and the sparse
+    constants fail exactly where the transpose and the 14 products of
+    lie_algebra_integrity_by_products do, with the same message."""
+
+    def test_intact_basis_passes_both_forms(self, monkeypatch):
+        patched_basis(monkeypatch)
+        assert failure_message(checks.check_09_lie_algebra_integrity) is None
+        assert failure_message(lie_algebra_integrity_by_products) is None
+
+    @pytest.mark.parametrize("i,j,v", [(0, 13, -7), (13, 0, 0), (2, 10, 1), (4, 5, 3)])
+    def test_one_asymmetric_pair(self, monkeypatch, i, j, v):
+        patched_basis(monkeypatch, gram=gram_with({(i, j): v}))
+        message = failure_message(checks.check_09_lie_algebra_integrity)
+        assert message == failure_message(lie_algebra_integrity_by_products) == "Killing Gram matrix not symmetric"
+
+    @pytest.mark.parametrize("pick", range(0, 200, 13))
+    def test_one_sign_flipped_constant(self, monkeypatch, pick):
+        c = derivation_basis().structure_constants
+        nonzero = [(i, j, k) for i in range(14) for j in range(14) for k in range(14) if c[i][j][k]]
+        assert len(nonzero) == 200
+        patched_basis(monkeypatch, structure=one_sign_flipped(c, *nonzero[pick]))
+        message = failure_message(checks.check_09_lie_algebra_integrity)
+        assert message is not None
+        assert message == failure_message(lie_algebra_integrity_by_products)
+
+    @pytest.mark.parametrize("m", [0, 6, 13])
+    def test_a_basis_vector_negated_in_the_constants_alone(self, monkeypatch, m):
+        # c[i][j][k] s_i s_j s_k for s = -1 at m alone: the constants of the
+        # basis with D_m negated, so Jacobi and the minors still hold, but
+        # the true Gram is that of the other basis
+        c = derivation_basis().structure_constants
+        s = [-1 if i == m else 1 for i in range(14)]
+        negated = tuple(tuple(tuple(s[i] * s[j] * s[k] * v for k, v in enumerate(cij)) for j, cij in enumerate(ci))
+                        for i, ci in enumerate(c))
+        patched_basis(monkeypatch, structure=negated)
+        message = failure_message(checks.check_09_lie_algebra_integrity)
+        assert message == failure_message(lie_algebra_integrity_by_products)
+        assert message.startswith("Killing form not ad-invariant under D_")
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 13), st.integers(0, 13)), st.integers(-3, 3), max_size=3))
+    def test_symmetric_changes_of_the_gram(self, changes):
+        # small symmetric changes keep the minors positive or fail them;
+        # the first failing k of ad-invariance is the same in both forms
+        g = derivation_basis().killing_gram()
+        entries = {}
+        for (i, j), v in changes.items():
+            entries[i, j] = entries[j, i] = g.entry(i, j) + v
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            patched_basis(monkeypatch, gram=gram_with(entries))
+            message = failure_message(checks.check_09_lie_algebra_integrity)
+            assert message == failure_message(lie_algebra_integrity_by_products)
 
 
 def test_sampled_ad_invariance_of_the_old_check_09():

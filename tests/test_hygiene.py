@@ -341,20 +341,64 @@ def _definitions(source: str) -> list:
     return found
 
 
+def _uses(tree) -> tuple:
+    """(names, own) for a parsed module: names holds every name it refers
+    to by bare name, in a from-import or as an attribute of anything but
+    self or cls inside a class; own holds (class, attribute) for each
+    self.attribute or cls.attribute inside that class's body."""
+    names, own = set(), set()
+    stack = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            if cls and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+                own.add((cls, node.attr))
+            else:
+                names.add(node.attr)
+        stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+    return names, own
+
+
+def _lineage(bases: dict, name: str) -> set:
+    """name with its ancestors and its descendants, for bases mapping each
+    class to the names of its bases: a self.m call in any of them can run
+    an m that name defines."""
+    found = {name}
+    for step in (lambda c: bases.get(c, ()), lambda c: [d for d, bs in bases.items() if c in bs]):
+        todo = [name]
+        while todo:
+            for c in step(todo.pop()):
+                if c not in found:
+                    found.add(c)
+                    todo.append(c)
+    return found
+
+
 def _unreferenced_definitions(source: str, others) -> list:
     """The definitions of source (see _definitions) that neither it nor any
     of the sources others names: by bare name, as an attribute or in a
-    from-import."""
-    used = set()
+    from-import.  A self.m or cls.m inside a class names m only for that
+    class, its bases and its subclasses (see _lineage)."""
+    names, own, bases = set(), set(), {}
     for tree in map(ast.parse, [source, *others]):
+        tree_names, tree_own = _uses(tree)
+        names |= tree_names
+        own |= tree_own
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-    return sorted(d for d in _definitions(source) if d.rpartition(".")[2] not in used)
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+
+    def used(definition):
+        cls, _, name = definition.rpartition(".")
+        return name in names or bool(cls) and any((c, name) in own for c in _lineage(bases, cls))
+
+    return sorted(d for d in _definitions(source) if not used(d))
 
 
 def test_detector_sees_an_unreferenced_definition():
@@ -382,6 +426,32 @@ def test_detector_sees_an_unused_method():
     others = ["y = m.C.made().size\n"]
     assert _unreferenced_definitions(module, others) == ["C.unused"]
     assert _unreferenced_definitions(module, []) == ["C", "C.made", "C.size", "C.unused"]
+
+
+def test_detector_scopes_a_self_call_to_its_class():
+    # B defines m and n too, but only C's self.m() and self.n() call them,
+    # and C's lineage is C and its base A
+    module = (
+        "class A:\n"
+        "    def m(self):\n"
+        "        return 1\n"
+        "    def n(self):\n"
+        "        return 2\n"
+        "class B:\n"
+        "    def m(self):\n"
+        "        return 3\n"
+        "    def n(self):\n"
+        "        return 4\n"
+        "class C(A):\n"
+        "    def m(self):\n"
+        "        return 5\n"
+        "    def run(self):\n"
+        "        return self.m() + self.n()\n"
+    )
+    others = ["x = mod.C().run()\n", "y = mod.A(), mod.B()\n"]
+    assert _unreferenced_definitions(module, others) == ["B.m", "B.n"]
+    # a call on anything but self or cls still counts for every class
+    assert _unreferenced_definitions(module, [*others, "z = mod.B().n()\n"]) == ["B.m"]
 
 
 # a name is in use if its own module, another package module or a benchmark

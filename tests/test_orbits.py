@@ -19,14 +19,13 @@ from g2orbits.roots import (
     TAU_GENERIC,
     CartanElement,
     Root,
-    cartan_basis,
     root_system,
     roots_in,
     vanishing_roots,
     vanishing_sets,
     weyl_reflect,
 )
-from test_derivations import bracket, is_zero_derivation
+from test_derivations import bracket, cartan_basis, is_zero_derivation
 
 
 def F(n, d=1):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from g2orbits import derivations, orbits, roots
 from g2orbits.derivations import G2AlgebraBasis, adjoint_matrix, derivation_basis
 from g2orbits.errors import InternalInvariantError, SumNonzeroError
-from g2orbits.linalg import Matrix, kernel_basis, rank
+from g2orbits.linalg import Matrix, _quotient, kernel_basis, rank
 from g2orbits.orbits import centralizer, classify, lattice_rows, scan
 from g2orbits.roots import (
     TAU_GENERIC,
@@ -21,7 +22,6 @@ from g2orbits.roots import (
     _cartan_ad,
     canonical_root_coeffs,
     cartan_adjoint,
-    cartan_basis,
     cartan_element,
     root_system,
     roots_in,
@@ -30,9 +30,11 @@ from g2orbits.roots import (
     vanishing_sets,
     weyl_reflect,
 )
-from matrices import identity, row_lists, scaled, sympy_solve
+from matrices import identity, matrix_sum, product, row_lists, scaled, sympy_solve, trace
+from test_checks import last_line_of
 from test_derivations import (
     bracket,
+    cartan_basis,
     is_skew,
     is_zero_derivation,
     killing_form,
@@ -220,20 +222,35 @@ class TestCartanBasis:
 
         monkeypatch.setattr(roots, "_rotation_matrix", slipped)
         with pytest.raises(InternalInvariantError, match="fails the Leibniz check"):
-            cartan_basis()
+            _cartan_ad.__wrapped__()
 
     def test_read_once_through_the_cached_adjoints(self):
-        # the one package caller, _cartan_ad, keeps the pair's adjoints
-        assert not hasattr(cartan_basis, "cache_info")
+        # the package keeps the pair's adjoints only; the 8x8 generators
+        # are a test helper
+        assert not hasattr(roots, "cartan_basis")
         assert _cartan_ad.cache_info().maxsize == 1
         assert tuple(map(derivation_basis().ad, map(derivation_basis().coordinates, cartan_basis()))) == _cartan_ad()
 
+    @pytest.mark.parametrize("argv", [["roots"], ["classify", "--tau=1,0,-1", "--json"], ["scan", "--radius", "6"]])
+    def test_each_generator_is_read_off_the_basis_once(self, argv):
+        code = (
+            "import io, sys, contextlib\n"
+            "from g2orbits import cli, derivations\n"
+            "reads, target = [], derivations.G2AlgebraBasis.coordinates.__code__\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call' and frame.f_code is target and reads.append(1))\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})\n"
+            "sys.setprofile(None)\n"
+            "print(len(reads))"
+        )
+        assert last_line_of(code) == "2"
+
     def test_membership_is_read_off_the_derivation_basis(self, monkeypatch):
         def forbidden():
-            raise AssertionError("cartan_basis re-ran the Leibniz equations")
+            raise AssertionError("the Cartan generators re-ran the Leibniz equations")
 
         derivation_basis()
         monkeypatch.setattr(derivations, "leibniz_system", forbidden)
+        assert _cartan_ad.__wrapped__() == _cartan_ad()
         h1, h2 = cartan_basis()
         assert h1 == cartan_element(CartanElement(TAU_H1))
         assert h2 == cartan_element(CartanElement(TAU_H2))
@@ -259,14 +276,14 @@ class TestCartanElementMap:
 
     def test_linearity(self):
         h1, h2 = cartan_basis()
-        assert cartan_element(CartanElement.of(1, 0, -1)).matrix == h1.matrix + h2.matrix
+        assert cartan_element(CartanElement.of(1, 0, -1)).matrix == matrix_sum(h1.matrix, h2.matrix)
         rng = random.Random(40)
         for _ in range(10):
             s = random_cartan(rng)
             t = random_cartan(rng)
             a, b_ = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
             combo = CartanElement(tuple(a * x + b_ * y for x, y in zip(s.tau, t.tau)))
-            expected = scaled(cartan_element(s).matrix, a) + scaled(cartan_element(t).matrix, b_)
+            expected = matrix_sum(scaled(cartan_element(s).matrix, a), scaled(cartan_element(t).matrix, b_))
             assert cartan_element(combo).matrix == expected
 
     def test_sum_nonzero_rejected(self):
@@ -286,6 +303,40 @@ class TestCartanAdjoint:
         assert ad == old
         assert all(type(v) is (int if F(v).denominator == 1 else Fraction) for v in ad.entries)
         assert centralizer(tau) == kernel_basis(old)
+
+    def test_an_integer_tau_makes_no_quotient_call(self):
+        # a profile hook on _quotient's code sees every call, by any name
+        target, calls = roots._quotient.__code__, []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is target:
+                calls.append(frame.f_locals["d"])
+
+        for tau, expected in [(TAU_GENERIC, []), ((3, 0, -3), []), ((F(1, 2), F(-1, 2), 0), [2] * 196)]:
+            sys.setprofile(count)
+            try:
+                cartan_adjoint(tau)
+            finally:
+                sys.setprofile(None)
+            assert calls == expected, tau
+            calls.clear()
+
+    @pytest.mark.parametrize("argv", [["roots"], ["classify", "--tau=1,0,-1", "--json"], ["scan", "--radius", "6"]])
+    def test_no_division_by_one_in_a_fresh_command(self, argv):
+        # roots divided each entry of ad(tau) by 1 (196 per integer tau);
+        # the elimination core's divisions by a pivot of 1 are not counted
+        code = (
+            "import io, sys, contextlib\n"
+            "from g2orbits import cli, linalg\n"
+            "ones, target = [], linalg._quotient.__code__\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call' and frame.f_code is target"
+            " and frame.f_locals['d'] == 1 and frame.f_back.f_code.co_filename.endswith('roots.py')"
+            " and ones.append(1))\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})\n"
+            "sys.setprofile(None)\n"
+            "print(len(ones))"
+        )
+        assert last_line_of(code) == "0"
 
     def test_generators_are_int_matrices(self):
         b = derivation_basis()
@@ -332,6 +383,75 @@ class TestCartanAdjoint:
                 cache.cache_clear()
 
 
+def root_value(ad: Matrix, w, u, v: int) -> int:
+    """roots._root_value, which the 2x2 maps between degrees replaced: the
+    integer r with ad w = (r/v) u, where u = ad(H*) w and w lies on the
+    root plane where ad(H*)^2 = -v^2; checked on every coordinate."""
+    adw = ad.apply(w)
+    k = next(i for i, x in enumerate(u) if x)
+    if any(x * u[k] != adw[k] * y for x, y in zip(adw, u)):
+        raise InternalInvariantError("root plane vector is not a joint eigenvector")
+    r, rest = divmod(adw[k] * v, u[k])
+    if rest:
+        raise InternalInvariantError(f"root value {Fraction(adw[k] * v, u[k])} is not an integer")
+    return r
+
+
+def restricted(m: Matrix, idx) -> Matrix:
+    """roots._restricted: m on the coordinates idx, whose span it must map
+    into itself."""
+    if any(m.entry(k, j) for j in idx for k in range(m.rows) if k not in idx):
+        raise InternalInvariantError("ad(H) does not leave a graded block invariant")
+    return Matrix(len(idx), len(idx), [m.entry(k, j) for k in idx for j in idx])
+
+
+def root_system_by_blocks():
+    """roots.root_system before it read the 2x2 maps by which ad(t) swaps
+    each even degree g with g^1: the 4x4 blocks of degrees g and g^1 cut
+    out of ad(H1), ad(H2) and ad(H*), one rank per block, the square of
+    ad(H*)'s block by a Matrix product, joint eigenvectors on padded
+    4-vectors, and the Cartan Gram from four 14x14 products."""
+    degrees = derivation_basis().degrees  # even degrees first in each block
+    blocks = [sorted((i for i, g in enumerate(degrees) if g >> 1 == h), key=degrees.__getitem__) for h in range(4)]
+    ads = (*roots._cartan_ad(), cartan_adjoint(TAU_GENERIC))
+    parts = [[restricted(m, idx) for m in ads] for idx in blocks]
+
+    zero_dim = 14 - sum(rank(star) for _, _, star in parts)
+    if zero_dim != 2:
+        raise InternalInvariantError(f"generic Cartan element has centralizer dimension {zero_dim}, expected 2")
+
+    raw = []
+    for a1, a2, star in parts[1:]:
+        s00, s01, s10, s11 = restricted(product(star, star), (0, 1)).entries
+        total = -(s00 + s11)
+        gap = isqrt(max(total * total - 4 * (s00 * s11 - s01 * s10), 0))
+        for v in {isqrt(max(x, 0)) for x in ((total + gap) // 2, (total - gap) // 2)}:
+            for line in kernel_basis(Matrix(2, 2, (s00 + v * v, s01, s10, s11 + v * v))):
+                w = (*line, 0, 0)
+                u = star.apply(w)
+                r1, r2 = (root_value(m, w, u, v) for m in (a1, a2))
+                raw += [(canonical_root_coeffs((s * r1, 0, -s * r2)), s * r1, s * r2) for s in (1, -1)]
+
+    if len(raw) + zero_dim != 14:
+        raise InternalInvariantError(f"root spaces ({len(raw)}) plus Cartan ({zero_dim}) do not fill the algebra")
+
+    (g11, g12), (g21, g22) = [[trace(product(x, y)) for y in ads[:2]] for x in ads[:2]]
+    d = g11 * g22 - g12 * g21
+    if not d:
+        raise InternalInvariantError("Killing Gram matrix is singular")
+    found = {}
+    for coeffs, r1, r2 in raw:
+        x1, x2 = _quotient(g22 * r1 - g12 * r2, d), _quotient(g11 * r2 - g21 * r1, d)
+        sq = -(r1 * x1 + r2 * x2)
+        found[coeffs] = sq, CartanElement([Fraction(-2, sq) * (x1 * a + x2 * b) for a, b in zip(TAU_H1, TAU_H2)])
+
+    min_len = min(sq for sq, _ in found.values())
+    result = tuple(Root(c, sq, "short" if sq == min_len else "long", co) for c, (sq, co) in sorted(found.items()))
+    if len(result) != 12:
+        raise InternalInvariantError(f"expected 12 distinct roots, got {len(result)}")
+    return result
+
+
 def root_system_by_scan():
     """roots.root_system before it moved to the graded blocks: kernels of
     the 14x14 ad(H*)^2 + v^2 for v = 1, 2, ... until the root planes and
@@ -341,20 +461,20 @@ def root_system_by_scan():
     ad1, ad2 = _cartan_ad()
     zero_dim = 14 - rank(ad_star)
     assert zero_dim == 2
-    square = ad_star * ad_star
-    vmax = isqrt(-square.trace())  # the squared root values sum to -tr(ad(H*)^2)
+    square = product(ad_star, ad_star)
+    vmax = isqrt(-trace(square))  # the squared root values sum to -tr(ad(H*)^2)
     eye = identity(14)
     raw = []
     for v in range(1, vmax + 1):
         if len(raw) + zero_dim == 14:
             break
-        kern = kernel_basis(square + scaled(eye, v * v))
+        kern = kernel_basis(matrix_sum(square, scaled(eye, v * v)))
         if not kern:
             continue
         assert len(kern) == 2
         w = kern[0]
         u = ad_star.apply(w)
-        r1, r2 = (roots._root_value(ad, w, u, v) for ad in (ad1, ad2))
+        r1, r2 = (root_value(ad, w, u, v) for ad in (ad1, ad2))
         for s1, s2 in ((r1, r2), (-r1, -r2)):
             raw.append((canonical_root_coeffs((s1, 0, -s2)), s1, s2))
     assert len(raw) + zero_dim == 14
@@ -395,15 +515,39 @@ class TestRootSystem:
         assert (len(calls), ranks) == (7, [cartan_adjoint(TAU_GENERIC)])
 
     def test_roots_come_from_the_graded_blocks(self, monkeypatch):
-        # a rank of each block of ad(H*) (the Cartan's 2x2, three 4x4), then
-        # one 2x2 kernel per root plane: no 14x14 elimination
+        # one rank of ad(H*) for the Cartan, then one 2x2 kernel per root
+        # plane, of ad(H*)^2 + v^2 on an even degree
         expected = root_system()
         kernels, ranks = [], []
         monkeypatch.setattr(roots, "kernel_basis", lambda m: kernels.append(m) or kernel_basis(m))
         monkeypatch.setattr(roots, "rank", lambda m: ranks.append(m) or rank(m))
         assert roots.root_system.__wrapped__() == expected  # uncached
         assert [(m.rows, m.cols) for m in kernels] == [(2, 2)] * 6
-        assert [(m.rows, m.cols) for m in ranks] == [(2, 2), (4, 4), (4, 4), (4, 4)]
+        assert ranks == [cartan_adjoint(TAU_GENERIC)]
+
+    def test_equals_the_block_form(self):
+        # the 4x4 blocks and 14x14 products that the 2x2 maps replaced
+        assert repr(root_system_by_blocks()) == repr(roots.root_system.__wrapped__()) == repr(root_system())
+
+    @pytest.mark.parametrize(
+        "k, j, delta",
+        [(0, 1, 1), (13, 12, 1), (9, 2, -1), (8, 7, 3), (12, 13, 6), (1, 0, 1), (3, 2, 2), (2, 0, 1), (6, 4, 1)],
+    )
+    def test_a_perturbed_generator_fails_both_forms_alike(self, monkeypatch, k, j, delta):
+        # one entry of ad(H1) moved: inside a degree pair (a wrong centralizer
+        # dimension, no joint eigenvector, a root plane lost) or out of it
+        ad1, ad2 = _cartan_ad()
+        entries = list(ad1.entries)
+        entries[14 * k + j] += delta
+        monkeypatch.setattr(roots, "_cartan_ad", lambda: (Matrix(14, 14, entries), ad2))
+        outcomes = []
+        for build in (roots.root_system.__wrapped__, root_system_by_blocks):
+            try:
+                outcomes.append(repr(build()))
+            except InternalInvariantError as exc:
+                outcomes.append(f"InternalInvariantError: {exc}")
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0].startswith("InternalInvariantError")
 
     def test_blocks_are_the_graded_pairs(self):
         # ad(H1) and ad(H2) kill the Cartan (degree 1) and map each block
@@ -631,14 +775,14 @@ class TestCoroots:
         assert [r.coroot for r in root_system()] == [coroot_by_standard_form(r) for r in root_system()]
 
     def test_one_killing_solve_per_root(self, monkeypatch):
-        # Cramer's rule divides by the Gram determinant twice per root; every
-        # other quotient in root_system is over the den 1 of TAU_GENERIC
+        # Cramer's rule divides by the Gram determinant twice per root, and
+        # nothing else in root_system divides: TAU_GENERIC's den is 1
         calls = []
         quotient = roots._quotient
         monkeypatch.setattr(roots, "_quotient", lambda v, d: calls.append(d) or quotient(v, d))
         assert roots.root_system.__wrapped__() == root_system()  # uncached
         gram = cartan_gram_by_killing_form()
-        assert [d for d in calls if d != 1] == [gram.entry(0, 0) * gram.entry(1, 1) - gram.entry(0, 1) ** 2] * 24
+        assert calls == [gram.entry(0, 0) * gram.entry(1, 1) - gram.entry(0, 1) ** 2] * 24
 
 
 class TestWeylReflections:
